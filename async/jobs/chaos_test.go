@@ -37,10 +37,10 @@ func init() {
 	}
 }
 
-// replicaConfig builds a replica-mode scheduler config with chaos-friendly
+// replicaConfig builds a named replica's scheduler config with chaos-friendly
 // lease timing: short enough that failover happens in test time, long
 // enough that a healthy replica never self-fences under -race scheduling.
-func replicaConfig(st store.Store, replica string) jobs.Config {
+func replicaConfig(st store.LeaseStore, replica string) jobs.Config {
 	return jobs.Config{
 		Engines:        1,
 		Store:          st,

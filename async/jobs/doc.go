@@ -47,4 +47,13 @@
 // per-snapshot progress: updates done, current suboptimality, elapsed
 // time) with full history replay. Terminal jobs are retained — result
 // included — until Config.Retention evicts the oldest.
+//
+// # Durability and ownership
+//
+// With a Config.Store the scheduler is one replica of a durable log
+// (package store): every transition is logged before it is acknowledged,
+// New recovers the log, and every job is lease-claimed before it
+// dispatches — a single-node daemon is simply the only replica, named
+// "local" by default. Without a store, job state lives in memory and there
+// is nothing to claim. Job IDs are "job-<replica>-%06d" either way.
 package jobs

@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -47,7 +49,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 }
 
 // TestCrashRecoveryResumeEquivalenceE2E is the durability acceptance test:
-// a WAL-backed run is killed mid-flight (store failpoint = kill -9 at the
+// a store-backed run is killed mid-flight (store failpoint = kill -9 at the
 // store layer), a second scheduler recovers the directory, resumes the job
 // from its last durable checkpoint, and the final model is bitwise
 // identical to an uninterrupted run on the same seed.
@@ -79,9 +81,9 @@ func TestCrashRecoveryResumeEquivalenceE2E(t *testing.T) {
 	}
 	wFull := refRes.W
 
-	// crashed: WAL-backed, killed after the first durable checkpoint
+	// crashed: store-backed, killed after the first durable checkpoint
 	dir := t.TempDir()
-	w1, err := store.Open(dir, store.Options{})
+	w1, err := store.OpenShared(dir, "local", store.SharedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,15 +94,15 @@ func TestCrashRecoveryResumeEquivalenceE2E(t *testing.T) {
 	}
 	waitFor(t, 30*time.Second, "a durable checkpoint", func() bool {
 		m := w1.Metrics()
-		return m.CheckpointSpills >= 1 && m.Appends >= 3 // submitted+dispatched+checkpointed
+		return m.CheckpointSpills >= 1 && m.Appends >= 4 // submitted+claimed+dispatched+checkpointed
 	})
 	w1.Kill() // every later store op fails: the log freezes at this instant
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// reboot: a fresh WAL handle on the same dir, a fresh scheduler
-	w2, err := store.Open(dir, store.Options{})
+	// reboot: a fresh handle on the same dir, a fresh scheduler
+	w2, err := store.OpenShared(dir, "local", store.SharedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +137,7 @@ func TestCrashRecoveryResumeEquivalenceE2E(t *testing.T) {
 // submitted job and no checkpointed progress.
 func TestGracefulDrainRestartNoWorkLost(t *testing.T) {
 	dir := t.TempDir()
-	w1, err := store.Open(dir, store.Options{})
+	w1, err := store.OpenShared(dir, "local", store.SharedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +174,7 @@ func TestGracefulDrainRestartNoWorkLost(t *testing.T) {
 
 	// restart: both jobs come back — the preempted one resumes from its
 	// checkpoint, the queued one runs after it
-	w2, err := store.Open(dir, store.Options{})
+	w2, err := store.OpenShared(dir, "local", store.SharedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +196,7 @@ func TestGracefulDrainRestartNoWorkLost(t *testing.T) {
 // keeps the JSON Stats shape.
 func TestPrometheusMetricsScrape(t *testing.T) {
 	dir := t.TempDir()
-	w, err := store.Open(dir, store.Options{})
+	w, err := store.OpenShared(dir, "local", store.SharedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,5 +237,80 @@ func TestPrometheusMetricsScrape(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics body missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestLegacySingleNodeLogOpensUnchanged pins compatibility with store
+// directories written by the single-node log that predates lease-claimed
+// ownership (testdata/single-node-log: job-%06d IDs, no lease records).
+// Opened as replica "local", the scheduler recovers every job under its old
+// ID, resumes the preempted job from its spill (bitwise equal to an
+// uninterrupted run), runs the queued job, and mints new IDs that cannot
+// collide with the old ones.
+func TestLegacySingleNodeLogOpensUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "single-node-log")
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// reference for the preempted job: the same spec, uninterrupted
+	sRef := newScheduler(t, jobs.Config{Engines: 1, EngineOptions: chaosEngOpts})
+	refID, err := sRef.Submit(asgdSpec(1200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, sRef, refID, jobs.StateDone)
+	ref, err := sRef.Result(refID)
+	if err != nil || ref == nil {
+		t.Fatalf("reference result: %v", err)
+	}
+
+	sh, err := store.OpenShared(dir, "local", store.SharedOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	s := newScheduler(t, jobs.Config{Engines: 1, EngineOptions: chaosEngOpts, Store: sh})
+	if st := s.Stats(); st.RecoveredJobs != 3 {
+		t.Fatalf("recovered %d jobs, want 3", st.RecoveredJobs)
+	}
+	if job, err := s.Status("job-000001"); err != nil || job.State != jobs.StateDone || job.Updates != 60 {
+		t.Fatalf("done job: %+v (err %v), want done at 60 updates", job, err)
+	}
+	pre := waitState(t, s, "job-000002", jobs.StateDone)
+	if pre.Preemptions < 1 || pre.Updates != 1200 {
+		t.Fatalf("preempted job finished %+v, want its 1200 updates after >=1 preemption", pre)
+	}
+	res, err := s.Result("job-000002")
+	if err != nil || res == nil {
+		t.Fatalf("resumed result: %v", err)
+	}
+	if !la.Equal(ref.W, res.W, 0) {
+		t.Fatal("job resumed from the legacy spill != uninterrupted run on a fixed seed")
+	}
+	if job := waitState(t, s, "job-000003", jobs.StateDone); job.Updates != 60 {
+		t.Fatalf("queued job ran %d updates, want 60", job.Updates)
+	}
+	id, err := s.Submit(asgdSpec(25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != "job-local-000004" {
+		t.Fatalf("first new ID %s, want job-local-000004 (continues the legacy sequence)", id)
+	}
+	waitState(t, s, id, jobs.StateDone)
+	if n := len(s.List()); n != 4 {
+		t.Fatalf("listing holds %d jobs, want the 3 legacy ones plus the new one", n)
 	}
 }

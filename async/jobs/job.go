@@ -115,7 +115,7 @@ type Job struct {
 	// runs there, this replica only mirrors its durable records.
 	Remote bool `json:"remote,omitempty"`
 	// Owner names the replica holding the job's lease ("" when unleased or
-	// in single-node mode).
+	// when the scheduler has no store).
 	Owner string `json:"owner,omitempty"`
 }
 
@@ -168,9 +168,9 @@ type job struct {
 	cpUpdates int64
 	cpSpilled bool
 
-	// replica-mode state: lease is the fencing token this replica holds
-	// while the job runs here; leaseLost flags a heartbeat self-fence (the
-	// run's outcome must be abandoned, not finalized); remote marks a job
+	// lease state (with a store): lease is the fencing token this replica
+	// holds while the job runs here; leaseLost flags a heartbeat self-fence
+	// (the run's outcome must be abandoned, not finalized); remote marks a job
 	// another replica owns; orphanedAt stamps the lease-expiry instant the
 	// failover latency is measured from; retries counts Spec.MaxRetries
 	// re-queues after transient run failures.

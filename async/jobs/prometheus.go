@@ -135,7 +135,7 @@ func (s *Scheduler) registerMetrics() {
 	r.CounterFunc("asyncd_jobs_retried_total", "Transient run failures re-queued under Spec.MaxRetries.",
 		snap(func(st *Stats) float64 { return float64(st.Retries) }))
 
-	if s.cfg.ReplicaID == "" {
+	if s.cfg.Store == nil {
 		return
 	}
 	r.GaugeFunc("asyncd_leases_held", "Job leases this replica currently holds.",

@@ -42,19 +42,9 @@ func (s *Scheduler) recover() error {
 	start := time.Now()
 	byID := map[ID]*replayJob{}
 	var order []*replayJob
-	replay := s.cfg.Store.Replay
-	if s.leaseStore != nil {
-		// replica mode replays through the watermarked tail reader so the
-		// tail-scan loop starts exactly where recovery stopped
-		replay = func(fn func(store.Record) error) error {
-			wm, rerr := s.leaseStore.ReplaySince(store.Watermark{}, fn)
-			if rerr == nil {
-				s.wm = wm
-			}
-			return rerr
-		}
-	}
-	err := replay(func(rec store.Record) error {
+	// replay through the watermarked tail reader so the tail-scan loop
+	// starts exactly where recovery stopped
+	wm, err := s.cfg.Store.ReplaySince(store.Watermark{}, func(rec store.Record) error {
 		id := ID(rec.Job)
 		rj := byID[id]
 		if rj == nil {
@@ -101,6 +91,7 @@ func (s *Scheduler) recover() error {
 	if err != nil {
 		return fmt.Errorf("jobs: recovery replay: %w", err)
 	}
+	s.wm = wm
 
 	// materialize in submission order so queue FIFO-within-priority and the
 	// ID sequence both restore deterministically
@@ -147,40 +138,28 @@ func (s *Scheduler) recover() error {
 		s.terminal = s.terminal[1:]
 	}
 	s.recoveredN = len(s.jobs)
-	// replica mode: jobs whose live lease another replica holds are
-	// mirrors, not local work — pull them back out of the queue. Expired
-	// foreign leases mark adoption candidates (the failover latency
-	// anchors to the expiry instant). Our own pre-crash leases need no
-	// handling: the jobs re-enqueued above and re-claim through the CAS,
-	// which bumps the epoch past the stale one.
-	if s.leaseStore != nil {
-		if leases, lerr := s.leaseStore.Leases(); lerr == nil {
-			now := time.Now()
-			for _, l := range leases {
-				j, ok := s.jobs[ID(l.Job)]
-				if !ok || j.state.Terminal() || l.Owner == s.cfg.ReplicaID {
-					continue
-				}
-				if l.Live(now) {
-					s.removeFromQueueLocked(j)
-					j.remote, j.remoteOwner = true, l.Owner
-				} else if j.orphanedAt.IsZero() {
-					j.orphanedAt = time.Unix(0, l.ExpiresAt)
-				}
+	// jobs whose live lease another replica holds are mirrors, not local
+	// work — pull them back out of the queue. Expired foreign leases mark
+	// adoption candidates (the failover latency anchors to the expiry
+	// instant). Our own pre-crash leases need no handling: the jobs
+	// re-enqueued above and re-claim through the CAS, which bumps the epoch
+	// past the stale one.
+	if leases, lerr := s.cfg.Store.Leases(); lerr == nil {
+		now := time.Now()
+		for _, l := range leases {
+			j, ok := s.jobs[ID(l.Job)]
+			if !ok || j.state.Terminal() || l.Owner == s.cfg.ReplicaID {
+				continue
 			}
-		} else {
-			s.storeErrs++
+			if l.Live(now) {
+				s.removeFromQueueLocked(j)
+				j.remote, j.remoteOwner = true, l.Owner
+			} else if j.orphanedAt.IsZero() {
+				j.orphanedAt = time.Unix(0, l.ExpiresAt)
+			}
 		}
-	}
-	// recovery ends with a compaction — in single-owner mode only: the
-	// rebuilt state is the live set and the old log (torn tail included)
-	// is rewritten to exactly it. A replica must never rewrite the shared
-	// log around its peers' live jobs; Shared self-compacts from the full
-	// log instead.
-	if s.leaseStore == nil {
-		if err := s.compactLocked(); err != nil {
-			return fmt.Errorf("jobs: post-recovery compaction: %w", err)
-		}
+	} else {
+		s.storeErrs++
 	}
 	s.recoveryDur = time.Since(start)
 	s.dispatchLocked()
@@ -267,74 +246,6 @@ func (s *Scheduler) rebuildLocked(rj *replayJob) (*job, error) {
 	return j, nil
 }
 
-// snapshotRecordsLocked rebuilds the compaction snapshot from live state:
-// for every held job, a submitted record plus its current state-defining
-// records. Replaying the snapshot reproduces exactly the scheduler's
-// recoverable state.
-func (s *Scheduler) snapshotRecordsLocked() []*store.Record {
-	ordered := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		ordered = append(ordered, j)
-	}
-	sort.Slice(ordered, func(a, b int) bool { return ordered[a].seq < ordered[b].seq })
-	recs := make([]*store.Record, 0, 2*len(ordered))
-	for _, j := range ordered {
-		specJSON, err := json.Marshal(j.spec)
-		if err != nil {
-			continue
-		}
-		recs = append(recs, &store.Record{
-			Type: store.TypeSubmitted, Job: string(j.id), Time: j.submitted.UnixNano(),
-			JobSeq: j.seq, Spec: specJSON,
-		})
-		if j.cpSpilled && !j.state.Terminal() {
-			recs = append(recs, &store.Record{
-				Type: store.TypeCheckpointed, Job: string(j.id), Time: j.submitted.UnixNano(),
-				Updates: j.cpUpdates, DispatchSeq: j.cpSeq,
-			})
-		}
-		switch j.state {
-		case StateRunning:
-			recs = append(recs, &store.Record{
-				Type: store.TypeDispatched, Job: string(j.id), Time: j.started.UnixNano(),
-			})
-		case StatePreempted:
-			recs = append(recs, &store.Record{
-				Type: store.TypePreempted, Job: string(j.id), Time: j.queued.UnixNano(),
-				Updates: j.cpUpdates, DispatchSeq: j.cpSeq,
-			})
-		case StateDone:
-			rec := &store.Record{
-				Type: store.TypeDone, Job: string(j.id), Time: j.finished.UnixNano(),
-				Updates: j.updates,
-			}
-			if j.finalErr != nil {
-				rec.FinalError, rec.HasFinal = *j.finalErr, true
-			}
-			recs = append(recs, rec)
-		case StateFailed:
-			recs = append(recs, &store.Record{
-				Type: store.TypeFailed, Job: string(j.id), Time: j.finished.UnixNano(), Detail: j.err,
-			})
-		case StateCanceled:
-			recs = append(recs, &store.Record{
-				Type: store.TypeCanceled, Job: string(j.id), Time: j.finished.UnixNano(), Detail: j.err,
-			})
-		}
-	}
-	return recs
-}
-
-// compactLocked rewrites the log to the live set when the store is
-// configured. Called under the scheduler lock (compaction must not race
-// appends that would then be lost by the rewrite).
-func (s *Scheduler) compactLocked() error {
-	if s.cfg.Store == nil {
-		return nil
-	}
-	return s.cfg.Store.Compact(s.snapshotRecordsLocked())
-}
-
 // spillLocked durably saves a checkpoint keyed by its dispatch_seq and then
 // appends the record (TypeCheckpointed or TypePreempted) that references
 // it — spill strictly first, so the log never names a spill that is not on
@@ -359,7 +270,7 @@ func (s *Scheduler) spillLocked(j *job, cp *opt.Checkpoint, typ store.Type) {
 // stop when the disk misbehaves, but the failure is counted and surfaced
 // through Stats/metrics. Submit is the exception — it calls the store
 // directly because acknowledging an unlogged job would break the
-// append-before-ack invariant. Triggers compaction past the threshold.
+// append-before-ack invariant.
 func (s *Scheduler) logAppendLocked(rec *store.Record) {
 	if s.cfg.Store == nil {
 		return
@@ -379,14 +290,4 @@ func (s *Scheduler) logAppendLocked(rec *store.Record) {
 		return
 	}
 	s.degraded = false
-	if s.leaseStore != nil {
-		// a replica never rewrites the shared log around its peers' live
-		// jobs; Shared self-compacts past its own threshold instead
-		return
-	}
-	if s.cfg.Store.Metrics().AppendsSinceCompact >= int64(s.cfg.CompactEvery) {
-		if err := s.compactLocked(); err != nil {
-			s.storeErrs++
-		}
-	}
 }

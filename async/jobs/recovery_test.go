@@ -78,8 +78,8 @@ func TestRecoveryEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != "job-000005" {
-		t.Fatalf("post-recovery submit got %s, want job-000005", id)
+	if id != "job-local-000005" {
+		t.Fatalf("post-recovery submit got %s, want job-local-000005", id)
 	}
 	waitState(t, s, id, jobs.StateDone)
 }

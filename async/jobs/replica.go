@@ -10,17 +10,18 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Replica mode: several schedulers share one lease-capable store (a Shared
-// WAL on a common directory, or one *Mem in tests). Every job is claimed
-// through the store's lease CAS before it dispatches, every
-// ownership-asserting append carries the claim's (owner, epoch) fencing
-// token, and two background loops keep the replicas coherent:
+// Lease ownership: every scheduler with a store is one replica of it (a
+// Shared log on a common directory, or one *Mem in tests) — a single-node
+// daemon is just the only one. Every job is claimed through the store's
+// lease CAS before it dispatches, every ownership-asserting append carries
+// the claim's (owner, epoch) fencing token, and two background loops keep
+// the replicas coherent:
 //
 //   - the heartbeat renews held leases every Config.RenewEvery; a renewal
 //     that comes back ErrFenced (or cannot reach the store while the lease
 //     is about to lapse) self-fences the run — it is canceled and its
 //     outcome abandoned, because an adopter owns the job's history now;
-//   - the tail scan replays the shared log past the local watermark every
+//   - the tail scan replays the log past the local watermark every
 //     Config.AdoptScanEvery, importing other replicas' submissions as
 //     claimable queue entries, marking claimed jobs remote, mirroring
 //     their checkpoints and terminal records, and re-enqueueing jobs whose
@@ -70,10 +71,10 @@ func (s *Scheduler) tailLoop(stop <-chan struct{}) {
 }
 
 // stampOwner copies the job's lease fencing token onto an
-// ownership-asserting record. A no-op without a held lease (single-owner
-// mode, or records of never-dispatched jobs).
+// ownership-asserting record. A no-op without a held lease (no store, or
+// records of never-dispatched jobs).
 func (s *Scheduler) stampOwner(j *job, rec *store.Record) *store.Record {
-	if s.leaseStore != nil && j.lease.Epoch != 0 {
+	if j.lease.Epoch != 0 {
 		rec.Owner, rec.Epoch = j.lease.Owner, j.lease.Epoch
 	}
 	return rec
@@ -85,7 +86,7 @@ func (s *Scheduler) stampOwner(j *job, rec *store.Record) *store.Record {
 // round. A successful claim of an adoption candidate loads the orphan's
 // last spilled checkpoint and records the failover latency.
 func (s *Scheduler) claimLocked(j *job) bool {
-	l, err := s.leaseStore.Claim(string(j.id), s.cfg.ReplicaID, s.cfg.LeaseTTL)
+	l, err := s.cfg.Store.Claim(string(j.id), s.cfg.ReplicaID, s.cfg.LeaseTTL)
 	switch {
 	case errors.Is(err, store.ErrLeaseHeld):
 		s.removeFromQueueLocked(j)
@@ -129,12 +130,12 @@ func (s *Scheduler) claimLocked(j *job) bool {
 // checkpoint is durable, so any replica — this one included — may re-claim
 // the job through the CAS.
 func (s *Scheduler) releaseLeaseLocked(j *job) {
-	if s.leaseStore == nil || j.lease.Epoch == 0 {
+	if j.lease.Epoch == 0 {
 		return
 	}
 	lease := j.lease
 	j.lease = store.Lease{}
-	if err := s.leaseStore.Release(string(j.id), lease.Owner, lease.Epoch); err != nil &&
+	if err := s.cfg.Store.Release(string(j.id), lease.Owner, lease.Epoch); err != nil &&
 		!errors.Is(err, store.ErrFenced) {
 		s.storeErrs++
 	}
@@ -193,7 +194,7 @@ func (s *Scheduler) renewHeldLeases() {
 	}
 	s.mu.Unlock()
 	for _, h := range hs {
-		l, err := s.leaseStore.Renew(string(h.j.id), h.lease.Owner, h.lease.Epoch, s.cfg.LeaseTTL)
+		l, err := s.cfg.Store.Renew(string(h.j.id), h.lease.Owner, h.lease.Epoch, s.cfg.LeaseTTL)
 		s.mu.Lock()
 		switch {
 		case err == nil:
@@ -222,7 +223,7 @@ func (s *Scheduler) renewHeldLeases() {
 // other replicas' records into local state.
 func (s *Scheduler) syncTail() {
 	var recs []store.Record
-	wm, err := s.leaseStore.ReplaySince(s.wm, func(r store.Record) error {
+	wm, err := s.cfg.Store.ReplaySince(s.wm, func(r store.Record) error {
 		recs = append(recs, r)
 		return nil
 	})
@@ -236,7 +237,24 @@ func (s *Scheduler) syncTail() {
 	if s.closed {
 		return
 	}
+	// after a compaction the batch is the whole rewritten log, repeating
+	// the submissions of jobs this replica finished long ago and that
+	// retention already evicted here. Importing one would queue it again —
+	// and since its terminal record cleared its epoch, the claim would
+	// succeed and the job would run twice. A job whose terminal record in
+	// the batch is our own is never new to us: its submission is not
+	// imported. (A peer's job that started and finished between two scans
+	// is still imported and mirrored as terminal.)
+	ours := map[string]bool{}
 	for i := range recs {
+		if recs[i].Type.Terminal() && recs[i].Owner == s.cfg.ReplicaID {
+			ours[recs[i].Job] = true
+		}
+	}
+	for i := range recs {
+		if recs[i].Type == store.TypeSubmitted && ours[recs[i].Job] {
+			continue
+		}
 		s.applyRemoteLocked(&recs[i])
 	}
 	s.dispatchLocked()
@@ -359,7 +377,7 @@ func (s *Scheduler) importRemoteSubmitLocked(rec *store.Record) {
 // the orphan's last spilled checkpoint. Live foreign leases the tail scan
 // has not seen yet mark jobs remote.
 func (s *Scheduler) adoptOrphans() {
-	leases, err := s.leaseStore.Leases()
+	leases, err := s.cfg.Store.Leases()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
@@ -458,17 +476,7 @@ func (s *Scheduler) finalizeRemoteLocked(j *job, rec *store.Record) {
 	ev := s.newEventLocked(j, typ, j.err)
 	ev.Updates = j.updates
 	ev.Error = j.finalErr
-	s.deliverLocked(j, ev)
-	for _, ch := range j.subs {
-		close(ch)
-	}
-	j.subs = nil
-	close(j.done)
-	s.terminal = append(s.terminal, j.id)
-	for len(s.terminal) > s.cfg.Retention {
-		delete(s.jobs, s.terminal[0])
-		s.terminal = s.terminal[1:]
-	}
+	s.retireLocked(j, ev)
 }
 
 // Kill terminates the scheduler the way a crash would: runs are canceled
@@ -490,7 +498,7 @@ func (s *Scheduler) Kill() {
 	s.queue = nil
 	for _, j := range s.jobs {
 		if j.state == StateRunning && !j.remote {
-			if s.leaseStore != nil {
+			if s.cfg.Store != nil {
 				j.leaseLost = true // unwind abandons instead of finalizing
 			} else {
 				j.cancelRequested = true

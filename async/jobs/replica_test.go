@@ -1,6 +1,7 @@
 package jobs_test
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -90,5 +91,47 @@ func TestListPageCrossReplicaTies(t *testing.T) {
 		if len(got) != len(want) {
 			t.Fatalf("pagination visited %d of %d jobs (ties skipped)", len(got), len(want))
 		}
+	}
+}
+
+// TestCompactionDoesNotRerunFinishedJobs: a compaction bumps the log
+// generation, so the next tail scan replays the whole rewritten log —
+// including the submissions of finished jobs retention already evicted
+// locally. None of them may be queued and run a second time: every job
+// finishes exactly once, and nothing is left queued once the batch is done.
+func TestCompactionDoesNotRerunFinishedJobs(t *testing.T) {
+	sh, err := store.OpenShared(t.TempDir(), "a", store.SharedOptions{NoSync: true, CompactEvery: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	cfg := replicaConfig(sh, "a")
+	cfg.Retention = 4
+	cfg.AdoptScanEvery = 10 * time.Millisecond
+	s := newScheduler(t, cfg)
+
+	const n = 60
+	spec := asgdSpec(25)
+	spec.CheckpointEvery = 0
+	for i := 0; i < n; i++ {
+		id, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, s, id, jobs.StateDone)
+	}
+	if c := sh.Metrics().Compactions; c < 2 {
+		t.Fatalf("%d compactions over the batch, want >= 2 to exercise the replay", c)
+	}
+	// give the tail scan several rounds over the last rewrite
+	time.Sleep(10 * cfg.AdoptScanEvery)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.Done != n || st.Queued != 0 {
+		t.Fatalf("after %d jobs: done=%d queued=%d, want every job finished exactly once", n, st.Done, st.Queued)
 	}
 }

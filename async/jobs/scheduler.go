@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -77,13 +78,16 @@ type Config struct {
 	// NewEngine overrides engine construction (tests, custom transports);
 	// default async.New(EngineOptions...).
 	NewEngine func(slot int) (*async.Engine, error)
-	// Store, when set, makes job state durable: every lifecycle transition
-	// is appended to it before Submit acknowledges, checkpoints spill
-	// through it, and New replays it to recover jobs from a previous
-	// process. Nil (the default) keeps today's in-memory behavior.
-	Store store.Store
-	// CompactEvery triggers a log compaction after that many appends
-	// (default 1024). Only meaningful with a Store.
+	// Store, when set, makes job state durable and lease-claimed: every
+	// lifecycle transition is appended to it before Submit acknowledges,
+	// checkpoints spill through it, New replays it to recover jobs from a
+	// previous process, and every job is claimed through the store's lease
+	// CAS before it dispatches (see ReplicaID). Nil (the default) keeps job
+	// state in memory only, with nothing to claim.
+	Store store.LeaseStore
+	// CompactEvery is ignored: compaction belongs to the store (see
+	// store.SharedOptions.CompactEvery). Kept so existing configurations
+	// still compile.
 	CompactEvery int
 	// TenantQuota bounds how many queued (waiting, preempted included) jobs
 	// one tenant may hold; Submit rejects beyond it with ErrQueueFull so a
@@ -94,17 +98,17 @@ type Config struct {
 	// (Spec.SLOMillis) may preempt a running job with more slack, even at
 	// equal priority (default 5s).
 	SLOSlack time.Duration
-	// ReplicaID enables multi-replica serving: the scheduler claims jobs
-	// through the store's lease CAS before dispatching (the Store must
-	// implement store.LeaseStore), renews held leases on a heartbeat,
-	// fences every owned append with its lease epoch, mirrors the other
-	// replicas' records by tailing the shared log, and adopts orphaned
-	// jobs whose lease expired. Empty (the default) keeps single-owner
-	// mode. Job IDs become "job-<replica>-%06d" so two replicas never
-	// mint the same ID.
+	// ReplicaID names this scheduler as the owner of the leases it claims
+	// (default "local"). With a Store the scheduler renews held leases on a
+	// heartbeat, fences every owned append with its lease epoch, mirrors
+	// the records other replicas append by tailing the log, and adopts
+	// orphaned jobs whose lease expired — a single-node daemon is simply
+	// the only replica. Schedulers sharing one store must use distinct
+	// names. Job IDs are "job-<replica>-%06d", so two replicas never mint
+	// the same ID.
 	ReplicaID string
-	// LeaseTTL is the job-lease duration in replica mode (default 10s). A
-	// replica that cannot renew within it loses the job to failover.
+	// LeaseTTL is the job-lease duration (default 10s). A scheduler that
+	// cannot renew within it loses the job to failover.
 	LeaseTTL time.Duration
 	// RenewEvery is the lease-renewal heartbeat period (default
 	// LeaseTTL/3).
@@ -131,22 +135,18 @@ func (c *Config) defaults() {
 		opts := c.EngineOptions
 		c.NewEngine = func(int) (*async.Engine, error) { return async.New(opts...) }
 	}
-	if c.CompactEvery <= 0 {
-		c.CompactEvery = 1024
-	}
 	if c.SLOSlack <= 0 {
 		c.SLOSlack = 5 * time.Second
 	}
-	if c.ReplicaID != "" {
-		if c.LeaseTTL <= 0 {
-			c.LeaseTTL = 10 * time.Second
-		}
-		if c.RenewEvery <= 0 {
-			c.RenewEvery = c.LeaseTTL / 3
-		}
-		if c.AdoptScanEvery <= 0 {
-			c.AdoptScanEvery = c.LeaseTTL / 2
-		}
+	c.ReplicaID = cmp.Or(c.ReplicaID, "local")
+	if c.LeaseTTL <= 0 {
+		c.LeaseTTL = 10 * time.Second
+	}
+	if c.RenewEvery <= 0 {
+		c.RenewEvery = c.LeaseTTL / 3
+	}
+	if c.AdoptScanEvery <= 0 {
+		c.AdoptScanEvery = c.LeaseTTL / 2
 	}
 }
 
@@ -176,7 +176,7 @@ type Stats struct {
 	// are being rejected with ErrStoreUnavailable while running jobs keep
 	// serving. Clears on the next successful append.
 	Degraded bool `json:"degraded,omitempty"`
-	// Replica-mode counters (zero in single-owner mode).
+	// Lease counters (zero without a configured store).
 	Replica    string  `json:"replica,omitempty"`
 	LeasesHeld int     `json:"leases_held,omitempty"`
 	RemoteJobs int     `json:"remote_jobs,omitempty"`
@@ -241,10 +241,8 @@ type Scheduler struct {
 	tenantRej   map[string]int64
 	tenantDone  map[string]int64
 
-	// replica mode (nil/zero in single-owner mode): the store's lease
-	// surface, the shared-log tail position, the loop stop signal, and the
-	// fencing/failover counters.
-	leaseStore    store.LeaseStore
+	// lease ownership (zero without a store): the log tail position, the
+	// heartbeat/tail loop stop signal, and the fencing/failover counters.
 	wm            store.Watermark
 	replicaStop   chan struct{}
 	fencedN       int64
@@ -285,20 +283,11 @@ func New(cfg Config) (*Scheduler, error) {
 		tenantRej:  map[string]int64{},
 		tenantDone: map[string]int64{},
 	}
-	if cfg.ReplicaID != "" {
-		ls, ok := cfg.Store.(store.LeaseStore)
-		if !ok {
-			return nil, fmt.Errorf("jobs: replica mode needs a lease-capable store (store.LeaseStore), got %T", cfg.Store)
-		}
-		s.leaseStore = ls
-	}
 	s.registerMetrics()
 	if cfg.Store != nil {
 		if err := s.recover(); err != nil {
 			return nil, err
 		}
-	}
-	if s.leaseStore != nil {
 		s.startReplicaLoops()
 	}
 	return s, nil
@@ -359,12 +348,9 @@ func (s *Scheduler) Submit(spec Spec) (ID, error) {
 		return "", fmt.Errorf("%w (depth %d)", ErrQueueFull, s.cfg.QueueDepth)
 	}
 	now := time.Now()
-	id := ID(fmt.Sprintf("job-%06d", s.seq+1))
-	if s.cfg.ReplicaID != "" {
-		// replica-qualified IDs: two replicas minting concurrently must
-		// never collide
-		id = ID(fmt.Sprintf("job-%s-%06d", s.cfg.ReplicaID, s.seq+1))
-	}
+	// replica-qualified IDs: two replicas minting concurrently must never
+	// collide
+	id := ID(fmt.Sprintf("job-%s-%06d", s.cfg.ReplicaID, s.seq+1))
 	if s.cfg.Store != nil {
 		// append-before-ack: the submitted record must be durable before the
 		// caller learns the ID; a failed append fails the Submit
@@ -723,7 +709,7 @@ func (s *Scheduler) Stats() Stats {
 	st.Degraded = s.degraded
 	st.Retries = s.retriesN
 	st.Tenants = s.tenantStatsLocked()
-	if s.cfg.ReplicaID != "" {
+	if s.cfg.Store != nil {
 		st.Replica = s.cfg.ReplicaID
 		st.Fenced = s.fencedN
 		st.Adopted = s.adoptedN
@@ -896,7 +882,7 @@ func (s *Scheduler) dispatchLocked() {
 			s.maybePreemptLocked()
 			return
 		}
-		if s.leaseStore != nil && !s.claimLocked(j) {
+		if s.cfg.Store != nil && !s.claimLocked(j) {
 			if j.remote {
 				continue // lost the claim CAS; try the next queued job
 			}
@@ -1096,18 +1082,18 @@ func (s *Scheduler) run(sl *slot, j *job) {
 	sl.busy = false
 	s.useSeq++
 	sl.lastUsed = s.useSeq
-	// replica mode: before any state transition, confirm we still own the
+	// with a store: before any state transition, confirm we still own the
 	// job. A fenced run's outcome — success included — must be abandoned,
 	// not finalized: the adopter owns the job's history now. leaseLost is
 	// checked even with the lease cleared — finalizeRemoteLocked drops the
 	// lease while fencing us, and that unwind must still abandon, not fall
 	// through to the preempt/retry branches on an already-terminal job.
-	if s.leaseStore != nil && (j.leaseLost || j.lease.Epoch != 0) {
+	if s.cfg.Store != nil && (j.leaseLost || j.lease.Epoch != 0) {
 		lost := j.leaseLost
 		if !lost {
 			lease := j.lease
 			s.mu.Unlock()
-			_, rerr := s.leaseStore.Renew(string(j.id), lease.Owner, lease.Epoch, s.cfg.LeaseTTL)
+			_, rerr := s.cfg.Store.Renew(string(j.id), lease.Owner, lease.Epoch, s.cfg.LeaseTTL)
 			s.mu.Lock()
 			lost = j.leaseLost || errors.Is(rerr, store.ErrFenced)
 		}
@@ -1335,6 +1321,12 @@ func (s *Scheduler) finalizeLocked(j *job, res *async.Result, err error) {
 	ev.Updates = j.updates
 	ev.Error = j.finalErr
 	ev.Wait = j.wait
+	s.retireLocked(j, ev)
+}
+
+// retireLocked publishes a job's terminal event, closes its subscriptions
+// and done channel, and applies the retention limit.
+func (s *Scheduler) retireLocked(j *job, ev Event) {
 	s.deliverLocked(j, ev)
 	for _, ch := range j.subs {
 		close(ch)

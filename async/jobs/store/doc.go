@@ -1,8 +1,8 @@
-// Package store is the durability layer under the jobs scheduler: a
+// Package store is the durability layer under the jobs scheduler: one
 // write-ahead log of job lifecycle transitions plus per-job checkpoint
 // spill files, so an asyncd restart — graceful or kill -9 — reconstructs
 // the scheduler instead of losing every queued, running, and preempted
-// job.
+// job, and so several asyncd replicas can serve one directory.
 //
 // # Append-before-ack invariant
 //
@@ -27,73 +27,81 @@
 // where L counts everything after the length prefix (format + body +
 // CRC). The body is the compact binary encoding of one Record
 // (cluster.BinWriter: varints, length-validated strings). The file opens
-// with the magic "AWL1". Decode is length-validated before any
-// allocation, and a record whose CRC, length, or body fails to verify
-// ends the replay: Open recovers the longest valid prefix, truncates the
-// torn tail, and continues appending from there — a kill -9 mid-append
-// costs exactly the un-acked suffix, never the log.
+// with the magic "AWL1". Records are numbered contiguously from 1. Decode
+// is length-validated before any allocation, and a record whose CRC,
+// length, body, or sequence number fails to verify ends the replay: the
+// longest valid prefix is kept and the torn tail truncated — a kill -9
+// mid-append costs exactly the un-acked suffix, never the log. A failed
+// append (write or fsync error) is unwound before it returns, so the
+// numbering stays contiguous with the durable log and a later append is
+// never mistaken for a torn tail.
 //
 // Checkpoints are not inlined in the log (they are ~dim-sized). Each
 // capture spills to its own file, cp-<job>-<dispatchSeq>.ckpt, written
-// to a temp name, fsynced, and renamed into place before the
-// checkpointed record is appended; the record carries the dispatch
-// sequence that keys the file. Replay therefore only trusts checkpoint
-// files the log mentions — a spill that crashed before its record is
-// ignored, and the job resumes from the previous durable capture.
-//
-// # Compaction contract
-//
-// The log grows by a handful of records per job; compaction rewrites it
-// to the live set only. Compact takes a snapshot of records (rebuilt by
-// the scheduler from its in-memory state: one submitted record per held
-// job plus its current state-defining records), writes them to a fresh
-// temp log, fsyncs, and atomically renames it over wal.log — a crash at
-// any point leaves either the old log or the new one, never a mix.
-// Checkpoint files for jobs absent from the snapshot are deleted after
-// the rename. The scheduler triggers compaction every Config.CompactEvery
-// appends and once after recovery; records evicted by the scheduler's
-// retention limit simply stop appearing in snapshots.
+// to a temp name carrying the writer's replica ID, fsynced, and renamed
+// into place before the checkpointed record is appended; the record
+// carries the dispatch sequence that keys the file. Replay therefore only
+// trusts checkpoint files the log mentions — a spill that crashed before
+// its record is ignored, and the job resumes from the previous durable
+// capture. OpenShared sweeps the temps a crash orphaned: the compaction
+// temp and the opener's own spill temps, never a live peer's.
 //
 // # Leases and epoch fencing
 //
-// Multi-replica coordination rides on three more record types — claimed,
-// renewed, released — carrying an Owner, a per-job Epoch, and an
-// ExpiresAt deadline (the v2 binary record format; v1 logs replay
-// unchanged). A replica claims a queued job before dispatching it: the
-// claim is a CAS that fails with ErrLeaseHeld while another replica's
-// lease is live, and succeeds with an epoch strictly above every epoch
-// the job has ever seen. That high-water mark is the fence: any
-// lifecycle append carrying a stale epoch — or no owner at all while a
-// live foreign lease exists — is rejected with ErrFenced. A replica that
-// loses its lease (crash, partition, missed renewals) can therefore
-// never retroactively finalize the job; the adopter's epoch wins, and
-// exactly one terminal record lands in the log. Terminal records clear
-// the lease and its epoch history. Submitted, claimed, renewed, and
-// released records are never themselves fenced.
+// Ownership rides on three more record types — claimed, renewed, released
+// — carrying an Owner, a per-job Epoch, and an ExpiresAt deadline (the v2
+// binary record format; v1 logs replay unchanged). The scheduler claims a
+// queued job before dispatching it: the claim is a CAS that fails with
+// ErrLeaseHeld while another replica's lease is live, and succeeds with an
+// epoch strictly above every epoch the job has ever seen. That high-water
+// mark is the fence: any lifecycle append carrying a stale epoch — or no
+// owner at all while a live foreign lease exists — is rejected with
+// ErrFenced. A replica that loses its lease (crash, partition, missed
+// renewals) can therefore never retroactively finalize the job; the
+// adopter's epoch wins, and exactly one terminal record lands in the log.
+// Terminal records clear the lease and its epoch history. Submitted,
+// claimed, renewed, and released records are never themselves fenced.
+// Lease records are visible to every replica as soon as they are written
+// but carry no fsync of their own: they become durable with the next
+// fsynced append, so a claim and the dispatched record that follows it
+// share one fsync. A machine crash can lose only lease records that no
+// durable record depends on, and it stops every replica that read them:
+// replicas coordinate through flock(2), so they share the machine.
 //
-// Stores implementing the optional LeaseStore interface (Claim / Renew /
-// Release / Leases / ReplaySince) expose this to the scheduler's replica
-// mode; Mem and Shared both do.
+// # Shared: one directory, any number of replicas
 //
-// # Shared: one directory, many replicas
+// Shared is the file implementation. Every replica — a single-node
+// daemon is one replica, named "local" by default — opens the same
+// directory and serializes mutations through flock(2) on wal.lock. Each
+// handle keeps a cached view of the log and refreshes it incrementally by
+// scanning the tail it has not yet seen, so ReplaySince(Watermark{Gen,
+// Seq}) lets the scheduler consume exactly the records that are new to
+// it. Torn tails are truncated under the lock by whichever handle finds
+// them — a record half-written by a killed replica costs that replica its
+// un-acked suffix and nothing else, and a claim torn mid-append is
+// dropped on recovery (the job stays claimable; no lease leaks from a
+// partial record).
 //
-// Shared is the multi-handle WAL: every replica opens the same directory
-// and serializes mutations through flock(2) on wal.lock. Each handle
-// keeps a cached view of the log and refreshes it incrementally by
-// scanning the tail it has not yet seen; a compaction by any replica is
-// detected by inode comparison and bumps a generation counter, so
-// ReplaySince(Watermark{Gen, Seq}) lets the scheduler consume exactly
-// the records that are new to it. Torn tails are truncated under the
-// lock by whichever handle finds them — a record half-written by a
-// killed replica costs that replica its un-acked suffix and nothing
-// else, and a claim torn mid-append is dropped on recovery (the job
-// stays claimable; no lease leaks from a partial record).
+// # Compaction contract
+//
+// The log grows by a handful of records per job; the store compacts it by
+// itself, from the log, once SharedOptions.CompactEvery records were
+// appended since the last rewrite. The rewrite keeps, per job, the latest
+// submitted, checkpoint, and state-defining records; a terminal job keeps
+// only submitted + terminal, and only the RetainTerminal most recently
+// finished terminal jobs survive. The lease table is re-serialized so
+// claims and epoch high-waters outlive the rewrite. The new log is written
+// to wal.log.tmp, fsynced, and atomically renamed over wal.log — a crash
+// at any point leaves either the complete old log or the complete new
+// one. Spill files of jobs the new log no longer names are deleted after
+// the rename. Every handle detects the swap by inode comparison, bumps its
+// generation, and replays the rewritten log from the top; callers of
+// ReplaySince must therefore expect records they have already seen.
 //
 // # Seam
 //
-// The scheduler depends only on the Store interface (append / replay /
-// checkpoint spill / compact) plus the optional LeaseStore extension.
-// WAL is the single-node file implementation, Shared the multi-replica
-// one, and Mem the in-memory implementation used by tests; faulty.Wrap
-// layers deterministic fault injection over any of them.
+// The scheduler depends only on the LeaseStore interface (append / replay
+// / checkpoint spill / lease claim / tail replay). Shared is the file
+// implementation and Mem the in-memory one used by tests (it never
+// compacts); faulty.Wrap layers deterministic fault injection over either.
 package store

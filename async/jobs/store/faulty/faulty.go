@@ -46,7 +46,7 @@ type Plan struct {
 	FailSyncN int64
 }
 
-// failpointer is the crash-failpoint surface WAL and Shared both expose.
+// failpointer is the crash-failpoint surface Shared exposes.
 type failpointer interface{ FailAfterAppends(n int64) }
 
 // Store wraps an inner LeaseStore with the Plan's faults. It implements
@@ -186,8 +186,6 @@ func (f *Store) LoadCheckpoint(job string, dispatchSeq int64) (*opt.Checkpoint, 
 }
 
 func (f *Store) DropJob(job string) error { f.gate(); return f.inner.DropJob(job) }
-
-func (f *Store) Compact(snapshot []*store.Record) error { f.gate(); return f.inner.Compact(snapshot) }
 
 func (f *Store) Metrics() store.Metrics { return f.inner.Metrics() }
 

@@ -48,10 +48,10 @@ func FuzzLeaseRecordCodec(f *testing.F) {
 	})
 }
 
-// FuzzReplayWAL feeds arbitrary bytes to the WAL recovery path: Open must
-// never panic, and whatever it recovers must be a valid record prefix —
-// strictly increasing seqs, decodable types. Seeds cover a clean log, a
-// torn tail, a bit flip, and garbage.
+// FuzzReplayWAL feeds arbitrary bytes to the log recovery path:
+// OpenShared must never panic, and whatever it recovers must be a valid
+// record prefix — strictly increasing seqs, decodable types. Seeds cover a
+// clean log, a torn tail, a bit flip, and garbage.
 func FuzzReplayWAL(f *testing.F) {
 	clean := append([]byte(nil), walMagic...)
 	for i := 1; i <= 3; i++ {
@@ -74,7 +74,7 @@ func FuzzReplayWAL(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, "wal.log"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w, err := Open(dir, Options{NoSync: true})
+		w, err := OpenShared(dir, "a", SharedOptions{NoSync: true})
 		if err != nil {
 			return // rejected (e.g. bad magic) is fine; panicking is not
 		}
@@ -98,7 +98,7 @@ func FuzzReplayWAL(f *testing.F) {
 			t.Fatalf("append after recovery: %v", err)
 		}
 		w.Close()
-		w2, err := Open(dir, Options{NoSync: true})
+		w2, err := OpenShared(dir, "a", SharedOptions{NoSync: true})
 		if err != nil {
 			t.Fatalf("reopen after repair: %v", err)
 		}

@@ -42,40 +42,6 @@ type Watermark struct {
 	Seq uint64 `json:"seq"`
 }
 
-// LeaseStore is the multi-replica extension of Store: lease-based job
-// claiming with epoch fencing, plus incremental tail replay so replicas
-// learn of each other's appends. Shared (file-locked multi-handle WAL) and
-// Mem implement it; a remote backend slots in behind the same surface.
-//
-// Fencing contract: Append with a non-empty rec.Owner succeeds only while
-// the job's live lease matches (Owner, Epoch) exactly and is unexpired;
-// otherwise ErrFenced. Claim succeeds when the job is unleased, its lease
-// expired, or the claimant already owns it — always bumping the epoch.
-// Renew extends a live lease the caller holds; a renew after expiry fails
-// with ErrFenced (the owner must re-claim, racing any adopter through the
-// same CAS). Terminal records clear the lease implicitly.
-type LeaseStore interface {
-	Store
-	// Claim atomically acquires the job's lease for owner with the given
-	// TTL, bumping the epoch past every epoch ever observed for the job.
-	// Fails with ErrLeaseHeld while another owner's lease is live.
-	Claim(job, owner string, ttl time.Duration) (Lease, error)
-	// Renew extends the caller's live lease; ErrFenced if the (owner,
-	// epoch) pair is stale or the lease already expired.
-	Renew(job, owner string, epoch int64, ttl time.Duration) (Lease, error)
-	// Release ends the caller's lease; ErrFenced on a stale pair. Releasing
-	// an already-cleared lease is a no-op.
-	Release(job, owner string, epoch int64) error
-	// Leases snapshots the lease table, expired entries included (the
-	// caller distinguishes by ExpiresAt — an expired entry is an orphan
-	// candidate).
-	Leases() ([]Lease, error)
-	// ReplaySince streams records appended after the watermark and returns
-	// the new watermark. After a compaction the generation changes and the
-	// log replays from its (rewritten) beginning.
-	ReplaySince(w Watermark, fn func(Record) error) (Watermark, error)
-}
-
 // leaseTable is the in-memory lease state both lease-capable stores derive
 // from the record stream. Not self-locking: the owning store guards it.
 type leaseTable struct {
@@ -117,14 +83,14 @@ func (t *leaseTable) apply(rec *Record) {
 
 // fence validates an ownership-asserting append: a record carrying an
 // Owner must match the job's live lease exactly. Ownerless lifecycle
-// records (single-owner schedulers) pass unfenced — unless the job holds a
-// live lease, in which case only its owner may move the job's state: an
-// unfenced Canceled from a bystander must not clear a running replica's
-// lease out from under it. Submissions and lease-protocol records are
-// never fenced here (claims carry their own CAS).
+// records (a queued job canceled before any claim) pass unfenced —
+// unless the job holds a live lease, in which case only its owner may
+// move the job's state: an unfenced Canceled from a bystander must not
+// clear a running replica's lease out from under it. Submissions and
+// lease-protocol records are never fenced here (claims carry their own
+// CAS).
 func (t *leaseTable) fence(rec *Record, now time.Time) error {
-	switch rec.Type {
-	case TypeClaimed, TypeRenewed, TypeReleased, TypeSubmitted:
+	if rec.Type.lease() || rec.Type == TypeSubmitted {
 		return nil
 	}
 	l, ok := t.leases[rec.Job]

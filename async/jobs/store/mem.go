@@ -9,23 +9,20 @@ import (
 	"repro/internal/opt"
 )
 
-// Mem is an in-memory Store: the same append/replay/compact surface as WAL
-// with no disk under it. It backs scheduler-store integration tests and
-// demonstrates that the scheduler depends only on the seam; it survives a
-// scheduler restart (hand the same *Mem to the next one) but not a process
-// death. Mem is also a LeaseStore — several schedulers can share one *Mem
-// with lease-fenced claiming, which is what the deterministic chaos tests
-// run on.
+// Mem is an in-memory LeaseStore: the same append/replay/lease surface as
+// Shared with no disk under it, and no compaction. It backs
+// scheduler-store integration tests and demonstrates that the scheduler
+// depends only on the seam; it survives a scheduler restart (hand the same
+// *Mem to the next one) but not a process death. Several schedulers can
+// share one *Mem with lease-fenced claiming, which is what the
+// deterministic chaos tests run on.
 type Mem struct {
 	mu      sync.Mutex
 	records []Record
 	spills  map[string][]byte // job\x00dispatchSeq → encoded checkpoint
 	seq     uint64
-	gen     uint64 // bumped by Compact; versions ReplaySince watermarks
 	lt      *leaseTable
 	appends int64
-	since   int64
-	compact int64
 	nspills int64
 	claims  int64
 	renews  int64
@@ -42,15 +39,8 @@ func spillKey(job string, dispatchSeq int64) string {
 
 // Replay streams the held records in order.
 func (m *Mem) Replay(fn func(Record) error) error {
-	m.mu.Lock()
-	recs := append([]Record(nil), m.records...)
-	m.mu.Unlock()
-	for _, r := range recs {
-		if err := fn(r); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := m.ReplaySince(Watermark{}, fn)
+	return err
 }
 
 // Append logs one record, fencing ownership-asserting records against the
@@ -78,7 +68,6 @@ func (m *Mem) appendLocked(rec *Record) {
 	m.records = append(m.records, *rec)
 	m.lt.apply(rec)
 	m.appends++
-	m.since++
 }
 
 // SaveCheckpoint spills an encoded copy keyed by (job, dispatchSeq).
@@ -92,14 +81,19 @@ func (m *Mem) SaveCheckpoint(job string, dispatchSeq int64, cp *opt.Checkpoint) 
 	if m.closed {
 		return ErrClosed
 	}
+	m.dropSpillsLocked(job)
+	m.spills[spillKey(job, dispatchSeq)] = buf.Bytes()
+	m.nspills++
+	return nil
+}
+
+// dropSpillsLocked deletes every spill of exactly job.
+func (m *Mem) dropSpillsLocked(job string) {
 	for k := range m.spills {
 		if len(k) > len(job) && k[:len(job)] == job && k[len(job)] == 0 {
 			delete(m.spills, k)
 		}
 	}
-	m.spills[spillKey(job, dispatchSeq)] = buf.Bytes()
-	m.nspills++
-	return nil
 }
 
 // LoadCheckpoint decodes the spill keyed by (job, dispatchSeq).
@@ -120,49 +114,7 @@ func (m *Mem) DropJob(job string) error {
 	if m.closed {
 		return ErrClosed
 	}
-	for k := range m.spills {
-		if len(k) > len(job) && k[:len(job)] == job && k[len(job)] == 0 {
-			delete(m.spills, k)
-		}
-	}
-	return nil
-}
-
-// Compact replaces the record list with snapshot and drops spills of jobs
-// it no longer mentions. Lease state survives the rewrite: the table is
-// re-serialized onto the new log so claims and epoch high-waters are not
-// lost.
-func (m *Mem) Compact(snapshot []*Record) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	snapshot = append(snapshot, m.lt.snapshotRecords(time.Now().UnixNano())...)
-	keep := make(map[string]bool, len(snapshot))
-	m.records = m.records[:0]
-	for i, rec := range snapshot {
-		rec.Seq = uint64(i + 1)
-		m.records = append(m.records, *rec)
-		keep[rec.Job] = true
-	}
-	m.seq = uint64(len(snapshot))
-	m.gen++
-	m.since = 0
-	m.compact++
-	m.appends += int64(len(snapshot))
-	for k := range m.spills {
-		job := k
-		for i := 0; i < len(k); i++ {
-			if k[i] == 0 {
-				job = k[:i]
-				break
-			}
-		}
-		if !keep[job] {
-			delete(m.spills, k)
-		}
-	}
+	m.dropSpillsLocked(job)
 	return nil
 }
 
@@ -182,8 +134,7 @@ func (m *Mem) Metrics() Metrics {
 	defer m.mu.Unlock()
 	return Metrics{
 		Appends:             m.appends,
-		AppendsSinceCompact: m.since,
-		Compactions:         m.compact,
+		AppendsSinceCompact: m.appends,
 		CheckpointSpills:    m.nspills,
 		ReplayedRecords:     int64(len(m.records)),
 		LeaseClaims:         m.claims,
@@ -269,8 +220,7 @@ func (m *Mem) Leases() ([]Lease, error) {
 }
 
 // ReplaySince streams records appended after the watermark (LeaseStore).
-// A compaction bumps the generation and replays the rewritten log from its
-// beginning.
+// Mem never compacts, so the generation stays 0.
 func (m *Mem) ReplaySince(w Watermark, fn func(Record) error) (Watermark, error) {
 	m.mu.Lock()
 	if m.closed {
@@ -278,11 +228,11 @@ func (m *Mem) ReplaySince(w Watermark, fn func(Record) error) (Watermark, error)
 		return w, ErrClosed
 	}
 	from := 0
-	if w.Gen == m.gen && w.Seq <= uint64(len(m.records)) {
+	if w.Gen == 0 && w.Seq <= uint64(len(m.records)) {
 		from = int(w.Seq)
 	}
 	recs := append([]Record(nil), m.records[from:]...)
-	out := Watermark{Gen: m.gen, Seq: m.seq}
+	out := Watermark{Seq: m.seq}
 	m.mu.Unlock()
 	for _, r := range recs {
 		if err := fn(r); err != nil {
@@ -302,7 +252,7 @@ func (m *Mem) Close() error {
 }
 
 // Reopen clears the closed flag so a successor scheduler can recover from
-// the held state (the in-memory analogue of re-opening a WAL directory).
+// the held state (the in-memory analogue of re-opening a store directory).
 func (m *Mem) Reopen() {
 	m.mu.Lock()
 	defer m.mu.Unlock()

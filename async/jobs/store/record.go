@@ -54,6 +54,12 @@ func (t Type) Terminal() bool {
 	return t == TypeDone || t == TypeFailed || t == TypeCanceled
 }
 
+// lease reports whether the record belongs to the lease protocol rather
+// than to the job's lifecycle.
+func (t Type) lease() bool {
+	return t == TypeClaimed || t == TypeRenewed || t == TypeReleased
+}
+
 // Record is one job lifecycle transition. Fields beyond Type/Job/Time are
 // meaningful per type: JobSeq and Spec ride submitted records, Updates and
 // DispatchSeq ride checkpointed/preempted records, Detail and the final

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -30,26 +31,29 @@ type SharedOptions struct {
 }
 
 const (
+	walName               = "wal.log"
 	sharedLockName        = "wal.lock"
 	defaultCompactEvery   = 4096
 	defaultRetainTerminal = 256
 	sharedMagicLen        = 4 // len(walMagic)
 )
 
-// Shared is the multi-replica file Store: several replica handles (same
-// process or not) share one WAL directory, serialized by an exclusive
-// flock on wal.lock around every mutation. Each handle keeps a cached view
-// of the log (records, lease table, seq) and refreshes it incrementally
-// under the lock before acting, so cross-replica appends, lease claims,
-// and even whole-log compaction swaps are observed before any decision is
-// made on stale state.
+// Shared is the file-backed LeaseStore: one wal.log of CRC-framed records
+// plus per-job checkpoint spill files in one directory, served by any
+// number of replica handles (same process or not). Every mutation runs
+// under an exclusive flock on wal.lock. Each handle keeps a cached view of
+// the log (records, lease table, seq) and refreshes it incrementally under
+// the lock before acting, so cross-replica appends, lease claims, and even
+// whole-log compaction swaps are observed before any decision is made on
+// stale state. A single-node daemon is simply one replica.
 //
-// Unlike WAL, Compact ignores the caller's snapshot: no single replica
-// sees the whole cluster's live set, so Shared derives the compacted log
-// from the log itself (latest submitted/checkpoint/state record per job,
-// terminal history bounded by RetainTerminal, lease table re-serialized).
-// Other replicas detect the rewrite by inode change and re-read from the
-// top; ReplaySince watermarks carry a generation for the same reason.
+// Compaction is self-driven: past SharedOptions.CompactEvery appends the
+// handle rewrites the log from the log itself (latest submitted,
+// checkpoint and state record per job, terminal history bounded by
+// RetainTerminal, lease table re-serialized) — no single replica sees the
+// whole cluster's live set, so no caller could supply it. Other replicas
+// detect the rewrite by inode change and re-read from the top;
+// ReplaySince watermarks carry a generation for the same reason.
 type Shared struct {
 	mu      sync.Mutex
 	dir     string
@@ -76,7 +80,8 @@ type Shared struct {
 	replayed     int64
 	truncated    bool
 
-	// failpoints (tests), same semantics as WAL
+	// failpoints (tests): see FailAfterAppends, FailNextAppendTransient,
+	// and Kill
 	failAfter     int64
 	armed         bool
 	failTransient bool
@@ -86,7 +91,12 @@ type Shared struct {
 
 // OpenShared opens (creating if needed) the shared store in dir as the
 // named replica. Any number of OpenShared handles — across goroutines or
-// processes — may serve the same directory concurrently.
+// processes — may serve the same directory concurrently, as long as each
+// has its own replica name. Logs written before the lease schema open
+// unchanged: the record format is versioned per frame. Open sweeps the
+// temp files a crash left behind: the compaction temp (written only under
+// the flock, so never live here) and this replica's own spill temps — a
+// live peer's in-flight spill carries the peer's name and is left alone.
 func OpenShared(dir, replica string, opts SharedOptions) (*Shared, error) {
 	if replica == "" {
 		return nil, fmt.Errorf("store: shared open: empty replica id")
@@ -110,6 +120,7 @@ func OpenShared(dir, replica string, opts SharedOptions) (*Shared, error) {
 		return nil, err
 	}
 	defer s.funlock()
+	s.sweepTempsLocked()
 	path := filepath.Join(dir, walName)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -142,10 +153,29 @@ func OpenShared(dir, replica string, opts SharedOptions) (*Shared, error) {
 	}
 	s.replayed = int64(len(s.records))
 	walReplayed.Add(s.replayed)
+	walSize.SetInt(s.off)
 	if s.truncated {
 		walTruncations.Inc()
 	}
 	return s, nil
+}
+
+// sweepTempsLocked removes temps orphaned by a crash mid
+// temp+fsync+rename: wal.log.tmp, this replica's spill temps, and
+// ownerless spill temps of the pre-lease single-node format (no live
+// writer produces those). Must hold the flock.
+func (s *Shared) sweepTempsLocked() {
+	entries, err := os.ReadDir(s.dir)
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		n := e.Name()
+		owner, spill := spillTempOwner(n)
+		if n == walName+".tmp" || strings.HasSuffix(n, ".ckpt.tmp") || (spill && owner == s.replica) {
+			_ = os.Remove(filepath.Join(s.dir, n))
+		}
+	}
 }
 
 func (s *Shared) closeFiles() {
@@ -249,12 +279,15 @@ func (s *Shared) scanTailLocked() error {
 	return nil
 }
 
-func (s *Shared) syncLog() error {
+func (s *Shared) syncLog() error { return s.syncFile(s.f) }
+
+// syncFile fsyncs f (unless NoSync) and accounts the latency.
+func (s *Shared) syncFile(f *os.File) error {
 	if s.opts.NoSync {
 		return nil
 	}
 	start := time.Now()
-	if err := s.f.Sync(); err != nil {
+	if err := f.Sync(); err != nil {
 		return fmt.Errorf("store: fsync: %w", err)
 	}
 	s.fsyncs++
@@ -263,12 +296,20 @@ func (s *Shared) syncLog() error {
 	return nil
 }
 
-// appendRecLocked durably writes one record at the tail of the refreshed
-// view and folds it into the caches. Fencing is the caller's concern.
-// Nothing — seq, offset, caches — advances until the frame is durable: a
-// failed write or fsync unwinds the file back to the pre-append tail, so
-// seq numbering stays contiguous with the durable log and the next append
-// cannot be mistaken for a torn tail by peer replicas.
+// appendRecLocked writes one record at the tail of the refreshed view and
+// folds it into the caches. Fencing is the caller's concern. Lifecycle
+// records are fsynced before it returns. Lease-protocol records (claimed,
+// renewed, released) are not: they reach every peer through the file at
+// once, and become durable with the next fsynced append — the dispatched
+// or terminal record their owner appends next, or anyone's — which is
+// how a claim and its dispatch share one fsync. A machine crash can thus
+// lose only lease records that no durable record depends on, and every
+// replica that read them (flock-coordinated, so on the same machine) dies
+// with it. Nothing — seq, offset, caches — advances until the frame is
+// written (and fsynced, when it must be): a failed write or fsync unwinds
+// the file back to the pre-append tail, so seq numbering stays contiguous
+// with the durable log and the next append cannot be mistaken for a torn
+// tail by peer replicas.
 func (s *Shared) appendRecLocked(rec *Record) error {
 	start := time.Now()
 	rec.Seq = s.seq + 1
@@ -289,7 +330,7 @@ func (s *Shared) appendRecLocked(rec *Record) error {
 		}
 		s.failAfter--
 	}
-	if err := s.writeFrameLocked(frame); err != nil {
+	if err := s.writeFrameLocked(frame, !rec.Type.lease()); err != nil {
 		s.unwindAppendLocked()
 		return err
 	}
@@ -301,11 +342,13 @@ func (s *Shared) appendRecLocked(rec *Record) error {
 	s.sinceCompact++
 	walAppends.Inc()
 	walAppendLat.ObserveSince(start)
+	walSize.SetInt(s.off)
 	return nil
 }
 
-// writeFrameLocked lands one encoded frame durably at the validated tail.
-func (s *Shared) writeFrameLocked(frame []byte) error {
+// writeFrameLocked lands one encoded frame at the validated tail, fsynced
+// when sync is set.
+func (s *Shared) writeFrameLocked(frame []byte, sync bool) error {
 	if s.failTransient {
 		// transient failpoint: half the frame lands before the write errors
 		// (ENOSPC-style); unlike the crash failpoint the handle survives
@@ -315,6 +358,9 @@ func (s *Shared) writeFrameLocked(frame []byte) error {
 	}
 	if _, err := s.f.WriteAt(frame, s.off); err != nil {
 		return fmt.Errorf("store: append: %w", err)
+	}
+	if !sync {
+		return nil
 	}
 	return s.syncLog()
 }
@@ -340,36 +386,9 @@ func (s *Shared) Dir() string { return s.dir }
 // Replica returns the handle's replica ID.
 func (s *Shared) Replica() string { return s.replica }
 
-// Replay streams the current log from the top. Called once at scheduler
-// boot; later cross-replica records arrive through ReplaySince.
-func (s *Shared) Replay(fn func(Record) error) error {
-	s.mu.Lock()
-	if s.dead || s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if err := s.flock(); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	err := s.refreshLocked()
-	recs := append([]Record(nil), s.records...)
-	s.funlock()
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	for _, r := range recs {
-		if err := fn(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Append durably logs one record, fencing ownership-asserting records
-// against the live lease table (ErrFenced for stale owners).
-func (s *Shared) Append(rec *Record) error {
+// locked runs fn holding the handle mutex and the cross-handle flock, on
+// a view refreshed to the log's current tail.
+func (s *Shared) locked(fn func() error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.dead || s.closed {
@@ -382,49 +401,62 @@ func (s *Shared) Append(rec *Record) error {
 	if err := s.refreshLocked(); err != nil {
 		return err
 	}
-	if err := s.lt.fence(rec, time.Now()); err != nil {
-		s.fenced++
-		walFencedAppends.Inc()
-		return err
-	}
-	if err := s.appendRecLocked(rec); err != nil {
-		return err
-	}
-	if s.opts.CompactEvery > 0 && s.sinceCompact >= int64(s.opts.CompactEvery) {
-		// best effort: a failed rewrite leaves the (complete) old log
-		if err := s.selfCompactLocked(); err != nil {
-			return nil
+	return fn()
+}
+
+// fencedLocked counts a mutation rejected for a stale fencing token.
+func (s *Shared) fencedLocked(err error) error {
+	s.fenced++
+	walFencedAppends.Inc()
+	return err
+}
+
+// Replay streams the current log from the top. Called once at scheduler
+// boot; later cross-replica records arrive through ReplaySince.
+func (s *Shared) Replay(fn func(Record) error) error {
+	_, err := s.ReplaySince(Watermark{}, fn)
+	return err
+}
+
+// Append durably logs one record, fencing ownership-asserting records
+// against the live lease table (ErrFenced for stale owners), and
+// self-compacts the log once CompactEvery records were appended since the
+// last rewrite.
+func (s *Shared) Append(rec *Record) error {
+	return s.locked(func() error {
+		if err := s.lt.fence(rec, time.Now()); err != nil {
+			return s.fencedLocked(err)
 		}
-	}
-	return nil
+		if err := s.appendRecLocked(rec); err != nil {
+			return err
+		}
+		if s.opts.CompactEvery > 0 && s.sinceCompact >= int64(s.opts.CompactEvery) {
+			// best effort: a failed rewrite leaves the (complete) old log
+			_ = s.selfCompactLocked()
+		}
+		return nil
+	})
 }
 
 // Claim acquires the job's lease for this replica via the claim CAS: free,
 // expired, or self-held leases are claimable (epoch bumps past every epoch
 // ever observed); a live foreign lease fails with ErrLeaseHeld.
 func (s *Shared) Claim(job, owner string, ttl time.Duration) (Lease, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dead || s.closed {
-		return Lease{}, ErrClosed
-	}
-	if err := s.flock(); err != nil {
-		return Lease{}, err
-	}
-	defer s.funlock()
-	if err := s.refreshLocked(); err != nil {
-		return Lease{}, err
-	}
-	l, err := s.lt.claim(job, owner, ttl, time.Now())
+	var l Lease
+	err := s.locked(func() (err error) {
+		if l, err = s.lt.claim(job, owner, ttl, time.Now()); err != nil {
+			return err
+		}
+		rec := &Record{Type: TypeClaimed, Job: job, Owner: l.Owner, Epoch: l.Epoch, ExpiresAt: l.ExpiresAt}
+		if err = s.appendRecLocked(rec); err == nil {
+			s.claims++
+			walLeaseClaims.Inc()
+		}
+		return err
+	})
 	if err != nil {
 		return Lease{}, err
 	}
-	rec := &Record{Type: TypeClaimed, Job: job, Owner: l.Owner, Epoch: l.Epoch, ExpiresAt: l.ExpiresAt}
-	if err := s.appendRecLocked(rec); err != nil {
-		return Lease{}, err
-	}
-	s.claims++
-	walLeaseClaims.Inc()
 	return l, nil
 }
 
@@ -432,99 +464,65 @@ func (s *Shared) Claim(job, owner string, ttl time.Duration) (Lease, error) {
 // expired or was superseded (the caller must stop acting as owner and
 // re-claim).
 func (s *Shared) Renew(job, owner string, epoch int64, ttl time.Duration) (Lease, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dead || s.closed {
-		return Lease{}, ErrClosed
-	}
-	if err := s.flock(); err != nil {
-		return Lease{}, err
-	}
-	defer s.funlock()
-	if err := s.refreshLocked(); err != nil {
-		return Lease{}, err
-	}
-	l, err := s.lt.renew(job, owner, epoch, ttl, time.Now())
+	var l Lease
+	err := s.locked(func() (err error) {
+		if l, err = s.lt.renew(job, owner, epoch, ttl, time.Now()); err != nil {
+			return s.fencedLocked(err)
+		}
+		rec := &Record{Type: TypeRenewed, Job: job, Owner: owner, Epoch: epoch, ExpiresAt: l.ExpiresAt}
+		if err = s.appendRecLocked(rec); err == nil {
+			s.renews++
+			walLeaseRenewals.Inc()
+		}
+		return err
+	})
 	if err != nil {
-		s.fenced++
-		walFencedAppends.Inc()
 		return Lease{}, err
 	}
-	rec := &Record{Type: TypeRenewed, Job: job, Owner: owner, Epoch: epoch, ExpiresAt: l.ExpiresAt}
-	if err := s.appendRecLocked(rec); err != nil {
-		return Lease{}, err
-	}
-	s.renews++
-	walLeaseRenewals.Inc()
 	return l, nil
 }
 
 // Release ends this replica's lease. Releasing a lease the table no longer
 // holds is a no-op; a mismatched live lease is ErrFenced.
 func (s *Shared) Release(job, owner string, epoch int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dead || s.closed {
-		return ErrClosed
-	}
-	if err := s.flock(); err != nil {
-		return err
-	}
-	defer s.funlock()
-	if err := s.refreshLocked(); err != nil {
-		return err
-	}
-	_, held, err := s.lt.release(job, owner, epoch)
-	if err != nil {
-		s.fenced++
-		walFencedAppends.Inc()
-		return err
-	}
-	if !held {
-		return nil
-	}
-	return s.appendRecLocked(&Record{Type: TypeReleased, Job: job, Owner: owner, Epoch: epoch})
+	return s.locked(func() error {
+		_, held, err := s.lt.release(job, owner, epoch)
+		if err != nil {
+			return s.fencedLocked(err)
+		}
+		if !held {
+			return nil
+		}
+		return s.appendRecLocked(&Record{Type: TypeReleased, Job: job, Owner: owner, Epoch: epoch})
+	})
 }
 
 // Leases snapshots the lease table (expired entries included — they are
 // the orphans an adopter scans for).
 func (s *Shared) Leases() ([]Lease, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dead || s.closed {
-		return nil, ErrClosed
-	}
-	if err := s.flock(); err != nil {
-		return nil, err
-	}
-	defer s.funlock()
-	if err := s.refreshLocked(); err != nil {
-		return nil, err
-	}
-	return s.lt.snapshot(), nil
+	var out []Lease
+	err := s.locked(func() error {
+		out = s.lt.snapshot()
+		return nil
+	})
+	return out, err
 }
 
 // ReplaySince streams records appended after the watermark; a compaction
 // swap bumps the generation and the rewritten log replays from its top.
+// The callback runs without any lock held.
 func (s *Shared) ReplaySince(w Watermark, fn func(Record) error) (Watermark, error) {
-	s.mu.Lock()
-	if s.dead || s.closed {
-		s.mu.Unlock()
-		return w, ErrClosed
-	}
-	if err := s.flock(); err != nil {
-		s.mu.Unlock()
-		return w, err
-	}
-	err := s.refreshLocked()
-	from := 0
-	if err == nil && w.Gen == s.gen && w.Seq <= uint64(len(s.records)) {
-		from = int(w.Seq)
-	}
-	recs := append([]Record(nil), s.records[from:]...)
-	out := Watermark{Gen: s.gen, Seq: s.seq}
-	s.funlock()
-	s.mu.Unlock()
+	var recs []Record
+	var out Watermark
+	err := s.locked(func() error {
+		from := 0
+		if w.Gen == s.gen && w.Seq <= uint64(len(s.records)) {
+			from = int(w.Seq)
+		}
+		recs = append([]Record(nil), s.records[from:]...)
+		out = Watermark{Gen: s.gen, Seq: s.seq}
+		return nil
+	})
 	if err != nil {
 		return w, err
 	}
@@ -537,9 +535,12 @@ func (s *Shared) ReplaySince(w Watermark, fn func(Record) error) (Watermark, err
 }
 
 // SaveCheckpoint durably spills cp keyed by (job, dispatchSeq) — temp
-// file, fsync, rename — then removes the job's older spills. Spills need
-// no flock: job IDs are replica-unique at submission and lease-owned
-// afterwards, so two replicas never spill the same job concurrently.
+// file, fsync, rename — then removes the job's older spills. The caller
+// appends the checkpointed record only after this returns, so the log
+// never references a spill that is not on disk. Spills need no flock: job
+// IDs are replica-unique at submission and lease-owned afterwards, so two
+// replicas never spill the same job concurrently; the temp name carries
+// this replica's ID so a peer's open-time sweep leaves it alone.
 func (s *Shared) SaveCheckpoint(job string, dispatchSeq int64, cp *opt.Checkpoint) error {
 	name, err := ckptName(job, dispatchSeq)
 	if err != nil {
@@ -554,7 +555,7 @@ func (s *Shared) SaveCheckpoint(job string, dispatchSeq int64, cp *opt.Checkpoin
 	if err := opt.SaveCheckpoint(&buf, cp); err != nil {
 		return fmt.Errorf("store: spill %s: %w", job, err)
 	}
-	tmp := filepath.Join(s.dir, name+".tmp")
+	tmp := filepath.Join(s.dir, name+spillTempSep+s.replica)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: spill %s: %w", job, err)
@@ -563,15 +564,9 @@ func (s *Shared) SaveCheckpoint(job string, dispatchSeq int64, cp *opt.Checkpoin
 		f.Close()
 		return fmt.Errorf("store: spill %s: %w", job, err)
 	}
-	if !s.opts.NoSync {
-		start := time.Now()
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("store: fsync: %w", err)
-		}
-		s.fsyncs++
-		s.fsyncNS += time.Since(start).Nanoseconds()
-		walFsyncLat.ObserveSince(start)
+	if err := s.syncFile(f); err != nil {
+		f.Close()
+		return err
 	}
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("store: spill %s: %w", job, err)
@@ -608,26 +603,6 @@ func (s *Shared) DropJob(job string) error {
 	}
 	dropSpillFiles(s.dir, job, "")
 	return nil
-}
-
-// Compact rewrites the shared log. The caller's snapshot is IGNORED: a
-// replica's local snapshot misses every job other replicas own, so
-// compacting to it would destroy cluster state. Shared instead derives the
-// snapshot from the log itself (see selfCompactLocked).
-func (s *Shared) Compact([]*Record) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dead || s.closed {
-		return ErrClosed
-	}
-	if err := s.flock(); err != nil {
-		return err
-	}
-	defer s.funlock()
-	if err := s.refreshLocked(); err != nil {
-		return err
-	}
-	return s.selfCompactLocked()
 }
 
 // selfCompactLocked rewrites the log from the log: per job the latest
@@ -721,11 +696,9 @@ func (s *Shared) selfCompactLocked() error {
 		f.Close()
 		return fmt.Errorf("store: compact: %w", err)
 	}
-	if !s.opts.NoSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("store: compact fsync: %w", err)
-		}
+	if err := s.syncFile(f); err != nil {
+		f.Close()
+		return err
 	}
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("store: compact: %w", err)
@@ -749,23 +722,9 @@ func (s *Shared) selfCompactLocked() error {
 	s.appends += int64(len(newRecs))
 	walCompactions.Inc()
 	walAppends.Add(int64(len(newRecs)))
+	walSize.SetInt(s.off)
 	// GC spills of jobs the compacted log no longer mentions
-	entries, err := os.ReadDir(s.dir)
-	if err == nil {
-		for _, e := range entries {
-			n := e.Name()
-			if !strings.HasPrefix(n, "cp-") || !strings.HasSuffix(n, ".ckpt") {
-				continue
-			}
-			core := strings.TrimSuffix(strings.TrimPrefix(n, "cp-"), ".ckpt")
-			if i := strings.LastIndexByte(core, '-'); i > 0 {
-				core = core[:i]
-			}
-			if !keep[core] {
-				_ = os.Remove(filepath.Join(s.dir, n))
-			}
-		}
-	}
+	removeSpills(s.dir, func(job, _ string) bool { return !keep[job] })
 	return nil
 }
 
@@ -851,17 +810,67 @@ func (s *Shared) Kill() {
 	s.dead = true
 }
 
-// dropSpillFiles removes job's spill files in dir except keep ("" = all).
-func dropSpillFiles(dir, job, keep string) {
-	prefix := "cp-" + job + "-"
+// spillTempSep joins a spill's final name and its writer's replica ID in
+// the temp name the spill is written under before the rename.
+const spillTempSep = ".tmp."
+
+// ckptName builds the spill filename for (job, dispatchSeq). Job IDs are
+// scheduler-generated ("job-local-000042"); anything path-like is
+// rejected.
+func ckptName(job string, dispatchSeq int64) (string, error) {
+	if job == "" || strings.ContainsAny(job, "/\\:*?\"<>|") || strings.Contains(job, "..") {
+		return "", fmt.Errorf("store: invalid job id %q", job)
+	}
+	return fmt.Sprintf("cp-%s-%d.ckpt", job, dispatchSeq), nil
+}
+
+// spillJob parses a spill filename (cp-<job>-<dispatchSeq>.ckpt) back to
+// its job ID. Job IDs contain dashes themselves, so the dispatch sequence
+// is the number after the last one; anything else is not a spill.
+func spillJob(name string) (string, bool) {
+	core, ok := strings.CutPrefix(name, "cp-")
+	if !ok {
+		return "", false
+	}
+	if core, ok = strings.CutSuffix(core, ".ckpt"); !ok {
+		return "", false
+	}
+	i := strings.LastIndexByte(core, '-')
+	if i <= 0 {
+		return "", false
+	}
+	if _, err := strconv.ParseInt(core[i+1:], 10, 64); err != nil {
+		return "", false
+	}
+	return core[:i], true
+}
+
+// spillTempOwner returns the replica that wrote a spill temp file.
+func spillTempOwner(name string) (string, bool) {
+	i := strings.Index(name, ".ckpt"+spillTempSep)
+	if i < 0 || !strings.HasPrefix(name, "cp-") {
+		return "", false
+	}
+	return name[i+len(".ckpt"+spillTempSep):], true
+}
+
+// removeSpills deletes every spill file in dir whose (job, name) the
+// predicate selects.
+func removeSpills(dir string, drop func(job, name string) bool) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
 		n := e.Name()
-		if strings.HasPrefix(n, prefix) && strings.HasSuffix(n, ".ckpt") && n != keep {
+		if job, ok := spillJob(n); ok && drop(job, n) {
 			_ = os.Remove(filepath.Join(dir, n))
 		}
 	}
+}
+
+// dropSpillFiles removes exactly job's spill files in dir except keep
+// ("" = all); a job whose ID extends this one's is not touched.
+func dropSpillFiles(dir, job, keep string) {
+	removeSpills(dir, func(j, n string) bool { return j == job && n != keep })
 }

@@ -2,15 +2,22 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
 
 func openShared(t *testing.T, dir, replica string) *Shared {
 	t.Helper()
-	s, err := OpenShared(dir, replica, SharedOptions{NoSync: true})
+	return openSharedOpts(t, dir, replica, SharedOptions{NoSync: true})
+}
+
+func openSharedOpts(t *testing.T, dir, replica string, opts SharedOptions) *Shared {
+	t.Helper()
+	s, err := OpenShared(dir, replica, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +152,8 @@ func TestSharedLeaseExpiryAdoption(t *testing.T) {
 // lease table — claims survive compaction.
 func TestSharedCompactionSwapDetected(t *testing.T) {
 	dir := t.TempDir()
-	a := openShared(t, dir, "a")
+	// the fifth append (the Done below) trips a's self-compaction
+	a := openSharedOpts(t, dir, "a", SharedOptions{NoSync: true, CompactEvery: 5})
 	b := openShared(t, dir, "b")
 	const live = "job-a-000001"
 
@@ -162,17 +170,17 @@ func TestSharedCompactionSwapDetected(t *testing.T) {
 	if err := a.Append(testRecord(3, TypeDispatched, "job-a-000002")); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Append(testRecord(4, TypeDone, "job-a-000002")); err != nil {
-		t.Fatal(err)
-	}
 
 	// b's view predates the rewrite
 	wm, err := b.ReplaySince(Watermark{}, func(Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Compact(nil); err != nil {
+	if err := a.Append(testRecord(4, TypeDone, "job-a-000002")); err != nil {
 		t.Fatal(err)
+	}
+	if m := a.Metrics(); m.Compactions != 1 {
+		t.Fatalf("self-compaction did not run: %+v", m)
 	}
 
 	// the stale handle must observe the swap, not append past a dead inode
@@ -267,27 +275,6 @@ func TestSharedTornClaimRecovered(t *testing.T) {
 		t.Fatalf("job not claimable after torn-claim recovery: %v", err)
 	}
 
-	// the single-owner WAL recovers the same file the same way
-	dir2 := t.TempDir()
-	src, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir2, walName), src, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	w, err := Open(dir2, Options{NoSync: true})
-	if err != nil {
-		t.Fatalf("WAL open over recovered log: %v", err)
-	}
-	defer w.Close()
-	n := 0
-	if err := w.Replay(func(r Record) error { n++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("WAL replay lost the surviving submission")
-	}
 }
 
 // TestSharedCrashFailpointSurvivorTruncates: the armed crash failpoint
@@ -371,5 +358,384 @@ func TestSharedTransientAppendFailureRollsBack(t *testing.T) {
 	}
 	if _, err := b.Claim(job, "b", time.Minute); !errors.Is(err, ErrLeaseHeld) {
 		t.Fatalf("peer claim over live lease (epoch %d): %v, want ErrLeaseHeld", la.Epoch, err)
+	}
+}
+
+// The TestWAL* cases pin the single-log contract on Shared: the same
+// wal.log every durable daemon writes, single-node or not.
+
+func TestWALAppendReplay(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenShared(dir, "a", SharedOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 5; i++ {
+		if err := w.Append(testRecord(uint64(i), TypeSubmitted, fmt.Sprintf("job-a-%06d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := w.Metrics()
+	if m.Appends != 5 || m.Fsyncs == 0 || m.SizeBytes == 0 {
+		t.Fatalf("metrics %+v", m)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	w2 := openShared(t, dir, "a")
+	recs := replayAll(t, w2)
+	if len(recs) != 5 {
+		t.Fatalf("replayed %d records, want 5", len(recs))
+	}
+	for i, r := range recs {
+		if r.Seq != uint64(i+1) || r.Type != TypeSubmitted {
+			t.Fatalf("record %d: %+v", i, r)
+		}
+	}
+	if m := w2.Metrics(); m.TruncatedTail || m.ReplayedRecords != 5 {
+		t.Fatalf("clean log reopened as %+v", m)
+	}
+	// appends continue the sequence
+	if err := w2.Append(testRecord(6, TypeDispatched, "job-a-000001")); err != nil {
+		t.Fatal(err)
+	}
+	if recs := replayAll(t, w2); recs[len(recs)-1].Seq != 6 {
+		t.Fatalf("append after reopen got seq %d, want 6", recs[len(recs)-1].Seq)
+	}
+}
+
+func TestWALTornTailRecovery(t *testing.T) {
+	dir := t.TempDir()
+	w := openShared(t, dir, "a")
+	for i := 1; i <= 3; i++ {
+		if err := w.Append(testRecord(uint64(i), TypeSubmitted, "job-a-000001")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	path := filepath.Join(dir, walName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// tear the last record in half — a crash mid-append
+	if err := os.WriteFile(path, data[:len(data)-17], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w2 := openShared(t, dir, "a")
+	if recs := replayAll(t, w2); len(recs) != 2 {
+		t.Fatalf("replayed %d records after torn tail, want 2", len(recs))
+	}
+	if !w2.Metrics().TruncatedTail {
+		t.Fatal("torn tail not reported")
+	}
+	// the torn bytes are gone: appending then reopening yields 3 clean records
+	if err := w2.Append(testRecord(9, TypeDispatched, "job-a-000001")); err != nil {
+		t.Fatal(err)
+	}
+	w2.Close()
+	w3 := openShared(t, dir, "a")
+	if got := replayAll(t, w3); len(got) != 3 || got[2].Type != TypeDispatched {
+		t.Fatalf("after repair: %+v", got)
+	}
+	if w3.Metrics().TruncatedTail {
+		t.Fatal("repaired log still reports a torn tail")
+	}
+}
+
+func TestWALBitFlipKeepsPrefix(t *testing.T) {
+	dir := t.TempDir()
+	w := openShared(t, dir, "a")
+	for i := 1; i <= 4; i++ {
+		if err := w.Append(testRecord(uint64(i), TypeSubmitted, "job-a-000001")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	path := filepath.Join(dir, walName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// flip one bit two thirds in: records before the flipped one survive
+	data[2*len(data)/3] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w2 := openShared(t, dir, "a")
+	recs := replayAll(t, w2)
+	if len(recs) == 0 || len(recs) >= 4 {
+		t.Fatalf("replayed %d records after bit flip, want a strict valid prefix", len(recs))
+	}
+	for i, r := range recs {
+		if r.Seq != uint64(i+1) {
+			t.Fatalf("prefix out of order: %+v", recs)
+		}
+	}
+	if !w2.Metrics().TruncatedTail {
+		t.Fatal("bit flip not reported as truncation")
+	}
+}
+
+func TestWALBadMagicRejected(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, walName), []byte("not a wal at all"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenShared(dir, "a", SharedOptions{NoSync: true}); err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("bad magic accepted: %v", err)
+	}
+}
+
+func TestWALCheckpointSpill(t *testing.T) {
+	w := openShared(t, t.TempDir(), "a")
+	const job = "job-a-000001"
+	if err := w.SaveCheckpoint(job, 10, testCheckpoint(100, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.SaveCheckpoint(job, 20, testCheckpoint(200, 20)); err != nil {
+		t.Fatal(err)
+	}
+	// the newer spill replaced the older
+	if _, err := w.LoadCheckpoint(job, 10); err == nil {
+		t.Fatal("stale spill survived a newer one")
+	}
+	cp, err := w.LoadCheckpoint(job, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.Updates != 200 || cp.Int("dispatch_seq") != 20 || cp.W[0] != 0.5 {
+		t.Fatalf("loaded %+v", cp)
+	}
+	if err := w.DropJob(job); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.LoadCheckpoint(job, 20); err == nil {
+		t.Fatal("spill survived DropJob")
+	}
+	if _, err := w.LoadCheckpoint("../evil", 1); err == nil {
+		t.Fatal("path-traversal job id accepted")
+	}
+}
+
+// TestSharedSpillCleanupMatchesJobExactly: job IDs embed the replica name,
+// so replica "a-000001"'s job "job-a-000001-000001" extends replica "a"'s
+// "job-a-000001". Dropping, re-spilling, or compacting away the shorter
+// job must never delete the longer one's live checkpoint.
+func TestSharedSpillCleanupMatchesJobExactly(t *testing.T) {
+	dir := t.TempDir()
+	a := openSharedOpts(t, dir, "a", SharedOptions{NoSync: true, CompactEvery: 2})
+	b := openShared(t, dir, "a-000001")
+	const short, long = "job-a-000001", "job-a-000001-000001"
+	if err := b.Append(testRecord(1, TypeSubmitted, long)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SaveCheckpoint(long, 3, testCheckpoint(30, 3)); err != nil {
+		t.Fatal(err)
+	}
+	live := func(what string) {
+		t.Helper()
+		if _, err := b.LoadCheckpoint(long, 3); err != nil {
+			t.Fatalf("%s deleted %s's live checkpoint: %v", what, long, err)
+		}
+	}
+	if err := a.SaveCheckpoint(short, 1, testCheckpoint(10, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SaveCheckpoint(short, 2, testCheckpoint(20, 2)); err != nil {
+		t.Fatal(err)
+	}
+	live("SaveCheckpoint's cleanup of older spills")
+	if err := a.DropJob(short); err != nil {
+		t.Fatal(err)
+	}
+	live("DropJob")
+	if _, err := a.LoadCheckpoint(short, 2); err == nil {
+		t.Fatal("DropJob kept the dropped job's own spill")
+	}
+	// a's second append trips its self-compaction; the long job is still in
+	// the log, so its spill must survive the GC
+	if err := a.Append(testRecord(2, TypeSubmitted, short)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Append(testRecord(3, TypeDone, short)); err != nil {
+		t.Fatal(err)
+	}
+	if m := a.Metrics(); m.Compactions != 1 {
+		t.Fatalf("self-compaction did not run: %+v", m)
+	}
+	live("compaction GC")
+}
+
+func TestWALOpenSweepsOrphanedTemps(t *testing.T) {
+	dir := t.TempDir()
+	// a crash mid temp+fsync+rename leaves the temp behind; the spill GC
+	// never matches it, so the opener sweeps what can only be dead: the
+	// compaction temp (written under the flock), its own spill temps, and
+	// ownerless temps of the pre-lease format — but not a live peer's
+	// in-flight spill
+	swept := []string{
+		walName + ".tmp",
+		"cp-job-000001-5.ckpt.tmp",
+		"cp-job-a-000001-5.ckpt" + spillTempSep + "a",
+	}
+	peer := "cp-job-b-000001-5.ckpt" + spillTempSep + "b"
+	for _, n := range append([]string{peer}, swept...) {
+		if err := os.WriteFile(filepath.Join(dir, n), []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	openShared(t, dir, "a")
+	for _, n := range swept {
+		if _, err := os.Stat(filepath.Join(dir, n)); !os.IsNotExist(err) {
+			t.Fatalf("orphaned temp %s survived open: %v", n, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, peer)); err != nil {
+		t.Fatalf("open swept a peer's in-flight spill: %v", err)
+	}
+}
+
+// TestWALCompact pins the self-compaction contract: past CompactEvery
+// appends the log is rewritten from itself — live jobs keep their
+// state-defining records, terminal history is bounded by RetainTerminal,
+// seqs restart at 1, spills of dropped jobs are collected — and appends
+// continue on the rewritten log across a reopen.
+func TestWALCompact(t *testing.T) {
+	dir := t.TempDir()
+	w := openSharedOpts(t, dir, "a", SharedOptions{NoSync: true, CompactEvery: 8, RetainTerminal: 1})
+	if err := w.SaveCheckpoint("job-000001", 5, testCheckpoint(50, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.SaveCheckpoint("job-000003", 7, testCheckpoint(70, 7)); err != nil {
+		t.Fatal(err)
+	}
+	var before int64
+	for i, r := range []*Record{
+		testRecord(1, TypeSubmitted, "job-000001"),
+		testRecord(2, TypeDispatched, "job-000001"),
+		testRecord(3, TypeDone, "job-000001"), // finished first: evicted
+		testRecord(4, TypeSubmitted, "job-000002"),
+		testRecord(5, TypeDispatched, "job-000002"),
+		testRecord(6, TypeDone, "job-000002"), // most recent terminal: kept
+		testRecord(7, TypeSubmitted, "job-000003"),
+		testRecord(8, TypeDispatched, "job-000003"), // live: kept
+	} {
+		if i == 7 {
+			before = w.Metrics().SizeBytes
+		}
+		if err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := w.Metrics()
+	if m.SizeBytes >= before || m.Compactions != 1 || m.AppendsSinceCompact != 0 {
+		t.Fatalf("after compact: %+v (size before %d)", m, before)
+	}
+	if _, err := w.LoadCheckpoint("job-000001", 5); err == nil {
+		t.Fatal("dropped job's spill survived compaction")
+	}
+	if _, err := w.LoadCheckpoint("job-000003", 7); err != nil {
+		t.Fatalf("live job's spill lost by compaction: %v", err)
+	}
+	if err := w.Append(testRecord(9, TypeCheckpointed, "job-000003")); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	recs := replayAll(t, openShared(t, dir, "a"))
+	var got []string
+	for i, r := range recs {
+		if r.Seq != uint64(i+1) {
+			t.Fatalf("post-compact seq %d at %d", r.Seq, i)
+		}
+		got = append(got, r.Job+":"+r.Type.String())
+	}
+	want := "job-000002:submitted job-000002:done job-000003:submitted job-000003:dispatched job-000003:checkpointed"
+	if strings.Join(got, " ") != want {
+		t.Fatalf("post-compact replay:\n got %v\nwant %s", got, want)
+	}
+}
+
+func TestWALFailpointTornAppend(t *testing.T) {
+	dir := t.TempDir()
+	w := openShared(t, dir, "a")
+	for i := 1; i <= 2; i++ {
+		if err := w.Append(testRecord(uint64(i), TypeSubmitted, "job-a-000001")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.FailAfterAppends(1)
+	if err := w.Append(testRecord(3, TypeDispatched, "job-a-000001")); err != nil {
+		t.Fatal(err) // one more append succeeds
+	}
+	if err := w.Append(testRecord(4, TypeCheckpointed, "job-a-000001")); err == nil {
+		t.Fatal("armed failpoint did not fire")
+	}
+	// dead store: every mutation fails
+	if err := w.Append(testRecord(5, TypePreempted, "job-a-000001")); err == nil {
+		t.Fatal("dead store accepted an append")
+	}
+	if err := w.Sync(); err == nil {
+		t.Fatal("dead store accepted a sync")
+	}
+	w.Close()
+	// recovery keeps the 3 acknowledged records, cuts the torn one
+	w2 := openShared(t, dir, "a")
+	if recs := replayAll(t, w2); len(recs) != 3 {
+		t.Fatalf("replayed %d records, want the 3 acknowledged", len(recs))
+	}
+	if !w2.Metrics().TruncatedTail {
+		t.Fatal("torn failpoint append not reported")
+	}
+}
+
+// TestWALKillFailpoint: Kill simulates death at a record boundary — every
+// later mutation fails with ErrClosed, the log is not torn, and a reopen
+// recovers everything acknowledged before the kill.
+func TestWALKillFailpoint(t *testing.T) {
+	dir := t.TempDir()
+	w := openShared(t, dir, "a")
+	if w.Dir() != dir || w.Replica() != "a" {
+		t.Fatalf("Dir() = %q, Replica() = %q", w.Dir(), w.Replica())
+	}
+	for i := 0; i < 2; i++ {
+		if err := w.Append(testRecord(0, TypeSubmitted, "job-a-000001")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatalf("sync before kill: %v", err)
+	}
+	w.Kill()
+
+	if err := w.Append(testRecord(0, TypeDispatched, "job-a-000001")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("append after kill: %v, want ErrClosed", err)
+	}
+	if err := w.SaveCheckpoint("job-a-000001", 1, testCheckpoint(10, 1)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("spill after kill: %v, want ErrClosed", err)
+	}
+	if _, err := w.Claim("job-a-000001", "a", time.Minute); !errors.Is(err, ErrClosed) {
+		t.Fatalf("claim after kill: %v, want ErrClosed", err)
+	}
+	if err := w.Sync(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("sync after kill: %v, want ErrClosed", err)
+	}
+	if err := w.DropJob("job-a-000001"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("drop after kill: %v, want ErrClosed", err)
+	}
+	if m := w.Metrics(); m.Appends != 2 {
+		t.Fatalf("metrics after kill: %+v, want 2 appends", m)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("close after kill: %v", err)
+	}
+
+	w2 := openShared(t, dir, "a")
+	if recs := replayAll(t, w2); len(recs) != 2 {
+		t.Fatalf("reopen after kill recovered %d records, want 2", len(recs))
+	}
+	if w2.Metrics().TruncatedTail {
+		t.Fatal("kill at a record boundary must not tear the log")
 	}
 }

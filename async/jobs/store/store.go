@@ -11,18 +11,28 @@ import (
 // store.
 var ErrClosed = errors.New("store: closed")
 
-// Store is the durability seam the scheduler writes through. WAL is the
-// single-node file implementation; Mem backs tests. A shared multi-replica
-// backend (lease-based job claiming) implements the same surface.
+// LeaseStore is the durability seam the scheduler writes through: an
+// append-only log of job transitions, checkpoint spills keyed by
+// (job, dispatchSeq), and lease-based job claiming with epoch fencing.
+// Shared is the file implementation (one directory, any number of replica
+// handles); Mem backs tests; faulty.Wrap layers fault injection over
+// either.
 //
 // Append must make the record durable before returning (append-before-ack);
 // SaveCheckpoint must durably spill the capture before the caller appends
 // the record that references it. Replay yields the recovered records in log
-// order. Compact atomically replaces the log with the given snapshot and
-// garbage-collects checkpoints of jobs absent from it.
-type Store interface {
-	// Replay streams the recovered records in log order. It is called once,
-	// before the first Append.
+// order. Compaction is the store's own business: it rewrites its log from
+// the log, never from a caller's snapshot.
+//
+// Fencing contract: Append with a non-empty rec.Owner succeeds only while
+// the job's live lease matches (Owner, Epoch) exactly and is unexpired;
+// otherwise ErrFenced. Claim succeeds when the job is unleased, its lease
+// expired, or the claimant already owns it — always bumping the epoch.
+// Renew extends a live lease the caller holds; a renew after expiry fails
+// with ErrFenced (the owner must re-claim, racing any adopter through the
+// same CAS). Terminal records clear the lease implicitly.
+type LeaseStore interface {
+	// Replay streams the recovered records in log order.
 	Replay(fn func(Record) error) error
 	// Append durably logs one transition, assigning rec.Seq.
 	Append(rec *Record) error
@@ -32,14 +42,30 @@ type Store interface {
 	LoadCheckpoint(job string, dispatchSeq int64) (*opt.Checkpoint, error)
 	// DropJob removes a terminal job's spilled checkpoints (best effort).
 	DropJob(job string) error
-	// Compact atomically replaces the log with snapshot and deletes
-	// checkpoints of jobs no snapshot record names.
-	Compact(snapshot []*Record) error
 	// Sync flushes and fsyncs any buffered state (graceful shutdown).
 	Sync() error
 	// Metrics snapshots the store's counters.
 	Metrics() Metrics
 	Close() error
+
+	// Claim atomically acquires the job's lease for owner with the given
+	// TTL, bumping the epoch past every epoch ever observed for the job.
+	// Fails with ErrLeaseHeld while another owner's lease is live.
+	Claim(job, owner string, ttl time.Duration) (Lease, error)
+	// Renew extends the caller's live lease; ErrFenced if the (owner,
+	// epoch) pair is stale or the lease already expired.
+	Renew(job, owner string, epoch int64, ttl time.Duration) (Lease, error)
+	// Release ends the caller's lease; ErrFenced on a stale pair. Releasing
+	// an already-cleared lease is a no-op.
+	Release(job, owner string, epoch int64) error
+	// Leases snapshots the lease table, expired entries included (the
+	// caller distinguishes by ExpiresAt — an expired entry is an orphan
+	// candidate).
+	Leases() ([]Lease, error)
+	// ReplaySince streams records appended after the watermark and returns
+	// the new watermark. After a compaction the generation changes and the
+	// log replays from its (rewritten) beginning.
+	ReplaySince(w Watermark, fn func(Record) error) (Watermark, error)
 }
 
 // Metrics is a point-in-time snapshot of a store's counters, surfaced
@@ -49,7 +75,7 @@ type Metrics struct {
 	// included).
 	Appends int64 `json:"appends"`
 	// AppendsSinceCompact counts records since the last compaction; the
-	// scheduler's compaction trigger reads it.
+	// store's self-compaction trigger reads it.
 	AppendsSinceCompact int64 `json:"appends_since_compact"`
 	// Fsyncs and FsyncTotal measure the fsync latency the append path pays.
 	Fsyncs     int64         `json:"fsyncs"`
@@ -66,7 +92,7 @@ type Metrics struct {
 	// corrupt log tail — expected after a crash mid-append.
 	TruncatedTail bool `json:"truncated_tail,omitempty"`
 
-	// Lease-layer counters (LeaseStore implementations only).
+	// Lease-layer counters.
 	LeaseClaims   int64 `json:"lease_claims,omitempty"`
 	LeaseRenewals int64 `json:"lease_renewals,omitempty"`
 	LeasesHeld    int64 `json:"leases_held,omitempty"`

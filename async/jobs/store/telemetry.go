@@ -16,9 +16,9 @@ var (
 		"fsync latency under WAL appends, spills, and compactions.",
 		telemetry.LatencyBuckets())
 	walSize = telemetry.Default().Gauge("async_wal_size_bytes",
-		"Current WAL log size in bytes (most recently opened store).")
+		"Current WAL log size in bytes (most recently written handle).")
 	walCompactions = telemetry.Default().Counter("async_wal_compactions_total",
-		"WAL compactions (log rewritten from the live-job snapshot).")
+		"WAL compactions (log rewritten to its live set).")
 	walSpills = telemetry.Default().Counter("async_wal_checkpoint_spills_total",
 		"Checkpoint spill files durably written.")
 	walReplayed = telemetry.Default().Counter("async_wal_replayed_records_total",

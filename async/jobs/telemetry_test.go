@@ -131,7 +131,7 @@ func sampleValue(t *testing.T, body, name string) float64 {
 // across scrapes.
 func TestMetricsExpositionGrammar(t *testing.T) {
 	dir := t.TempDir()
-	w, err := store.Open(dir, store.Options{})
+	w, err := store.OpenShared(dir, "local", store.SharedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,11 +200,11 @@ func TestMetricsExpositionGrammar(t *testing.T) {
 }
 
 // TestCountersSurviveRestart pins the recovery-side counter rebuild: after a
-// WAL replay the Prometheus counters reflect the replayed terminal jobs
+// log replay the Prometheus counters reflect the replayed terminal jobs
 // instead of resetting to zero.
 func TestCountersSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
-	w1, err := store.Open(dir, store.Options{})
+	w1, err := store.OpenShared(dir, "local", store.SharedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestCountersSurviveRestart(t *testing.T) {
 	}
 	w1.Close()
 
-	w2, err := store.Open(dir, store.Options{})
+	w2, err := store.OpenShared(dir, "local", store.SharedOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@
 //	curl -s localhost:8080/v1/jobs -d '{"algorithm":"asgd","dataset":{"name":"rcv1-like"}}'
 //
 // The serve role is fully observable: GET /v1/metrics is a Prometheus
-// scrape covering every layer (serving, coordinator, driver runtime, WAL,
-// wire codec), GET /v1/jobs/{id}/trace downloads a job's run-scoped JSONL
+// scrape covering every layer (serving, coordinator, driver runtime, log
+// store, wire codec), GET /v1/jobs/{id}/trace downloads a job's run-scoped JSONL
 // event trace, and /debug/pprof/ serves live CPU/heap/goroutine profiles.
 //
 // TCP demo roles: one server process driving N worker processes over real
@@ -50,12 +50,12 @@ func main() {
 		engines  = flag.Int("engines", 2, "engine-pool size (serve)")
 		queue    = flag.Int("queue", 64, "job-queue depth (serve)")
 		retain   = flag.Int("retain", 256, "terminal jobs retained (serve)")
-		storeDir = flag.String("store-dir", "", "WAL directory for durable job state (serve; empty = in-memory only)")
-		replica  = flag.String("replica-id", "", "replica name for multi-replica serving over a shared -store-dir (serve; empty = single-owner)")
-		leaseTTL = flag.Duration("lease-ttl", 10*time.Second, "job-lease duration in replica mode (serve)")
+		storeDir = flag.String("store-dir", "", "log directory for durable, lease-claimed job state (serve; empty = in-memory only)")
+		replica  = flag.String("replica-id", "local", "this daemon's name in job IDs and job leases; daemons sharing a -store-dir need distinct names (serve)")
+		leaseTTL = flag.Duration("lease-ttl", 10*time.Second, "job-lease duration with -store-dir; a daemon silent that long loses its jobs to failover (serve)")
 		quota    = flag.Int("tenant-quota", 0, "max queued jobs per tenant (serve; 0 = unlimited)")
 		sloSlack = flag.Duration("slo-slack", 5*time.Second, "deadline slack below which SLO jobs may preempt (serve)")
-		compact  = flag.Int("compact-every", 1024, "WAL appends between compactions (serve)")
+		compact  = flag.Int("compact-every", 1024, "log appends between self-compactions of -store-dir (serve)")
 		addr     = flag.String("addr", ":7077", "listen/dial address (server, worker)")
 		workers  = flag.Int("workers", 4, "workers per engine (serve) or per cluster (server)")
 		id       = flag.Int("id", 0, "worker id (worker)")
@@ -106,14 +106,15 @@ type serviceConfig struct {
 }
 
 // runService runs the job-scheduling daemon until SIGINT/SIGTERM. With
-// -store-dir, job state is durable: every lifecycle transition is WAL-logged
+// -store-dir, job state is durable: every lifecycle transition is logged
 // before it is acknowledged, boot replays the log (resuming interrupted jobs
 // from their last durable checkpoint), and a signal drains gracefully —
 // running jobs preempt at their next update boundary, checkpoints persist,
-// and the WAL is fsynced before exit. With -replica-id, several daemons
-// share one -store-dir: jobs are lease-claimed before dispatch, every
-// append is epoch-fenced, and a crashed replica's jobs fail over to the
-// survivors after its lease expires.
+// and the log is fsynced before exit. Every durable daemon is one replica
+// of its -store-dir: jobs are lease-claimed before dispatch and every
+// append is epoch-fenced, so several daemons with distinct -replica-id
+// names may share one directory, and a crashed daemon's jobs fail over to
+// the survivors after its lease expires.
 func runService(cfg serviceConfig) error {
 	jc := jobs.Config{
 		Engines:       cfg.engines,
@@ -121,31 +122,20 @@ func runService(cfg serviceConfig) error {
 		Retention:     cfg.retain,
 		TenantQuota:   cfg.tenantQuota,
 		SLOSlack:      cfg.sloSlack,
-		CompactEvery:  cfg.compactEvery,
+		ReplicaID:     cfg.replicaID,
+		LeaseTTL:      cfg.leaseTTL,
 		EngineOptions: []async.Option{async.WithWorkers(cfg.workers)},
 	}
-	switch {
-	case cfg.replicaID != "":
-		if cfg.storeDir == "" {
-			return errors.New("-replica-id needs -store-dir (replicas coordinate through the shared log)")
-		}
+	if cfg.storeDir != "" {
 		sh, err := store.OpenShared(cfg.storeDir, cfg.replicaID, store.SharedOptions{
-			CompactEvery: cfg.compactEvery,
+			CompactEvery:   cfg.compactEvery,
+			RetainTerminal: cfg.retain,
 		})
 		if err != nil {
 			return err
 		}
 		defer sh.Close()
 		jc.Store = sh
-		jc.ReplicaID = cfg.replicaID
-		jc.LeaseTTL = cfg.leaseTTL
-	case cfg.storeDir != "":
-		w, err := store.Open(cfg.storeDir, store.Options{})
-		if err != nil {
-			return err
-		}
-		defer w.Close()
-		jc.Store = w
 	}
 	sched, err := jobs.New(jc)
 	if err != nil {
@@ -171,7 +161,7 @@ func runService(cfg serviceConfig) error {
 		fmt.Fprintf(os.Stderr, "asyncd: %v, draining\n", sig)
 	}
 	// graceful drain: stop dispatching, preempt running jobs so their
-	// checkpoints spill durably, fsync the WAL. Bounded so a
+	// checkpoints spill durably, fsync the log. Bounded so a
 	// non-cooperating solver cannot hold shutdown hostage.
 	if jc.Store != nil {
 		dctx, dcancel := context.WithTimeout(context.Background(), 30*time.Second)

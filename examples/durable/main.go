@@ -1,9 +1,10 @@
-// Example durable demonstrates the WAL-backed job store end to end: a
-// scheduler with a store directory accepts a long checkpointing job and a
-// queued follow-up, drains gracefully mid-run (the running job is
-// preempted and its checkpoint spilled durably), and "restarts" — a second
-// scheduler recovers the same directory, resumes the preempted job from
-// its last durable checkpoint, and finishes everything with no work lost.
+// Example durable demonstrates the durable job store end to end: a
+// scheduler over a store directory (one store.Shared replica, as asyncd
+// -store-dir runs it) accepts a long checkpointing job and a queued
+// follow-up, drains gracefully mid-run (the running job is preempted and
+// its checkpoint spilled durably), and "restarts" — a second scheduler
+// recovers the same directory, resumes the preempted job from its last
+// durable checkpoint, and finishes everything with no work lost.
 package main
 
 import (
@@ -41,7 +42,7 @@ func main() {
 	}
 
 	// ---- first process lifetime ----
-	w, err := store.Open(dir, store.Options{})
+	w, err := store.OpenShared(dir, "local", store.SharedOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func main() {
 	}
 
 	// ---- second process lifetime: recover the same directory ----
-	w2, err := store.Open(dir, store.Options{})
+	w2, err := store.OpenShared(dir, "local", store.SharedOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

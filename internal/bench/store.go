@@ -34,14 +34,14 @@ func storeMetrics(log func(Entry)) error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	w, err := store.Open(dir, store.Options{})
+	w, err := store.OpenShared(dir, "local", store.SharedOptions{})
 	if err != nil {
 		return err
 	}
 	var appendErr error
 	res := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rec := &store.Record{Type: store.TypeCheckpointed, Job: "job-000001", Updates: int64(i), DispatchSeq: int64(i)}
+			rec := &store.Record{Type: store.TypeCheckpointed, Job: "job-local-000001", Updates: int64(i), DispatchSeq: int64(i)}
 			if appendErr = w.Append(rec); appendErr != nil {
 				b.Fatal(appendErr)
 			}
@@ -52,16 +52,16 @@ func storeMetrics(log func(Entry)) error {
 		return appendErr
 	}
 	log(Entry{Name: "store.append_ns", Value: float64(res.NsPerOp()), Unit: "ns/op", Better: LowerIsBetter,
-		Note: "durable WAL append: frame encode + write + fsync (append-before-ack)"})
+		Note: "durable log append on one store.Shared replica: flock + tail refresh + frame encode + write + fsync (append-before-ack)"})
 
 	// store.recovery_ms: scheduler cold boot over a 200-job log — replay,
-	// rebuild, checkpoint loads, post-recovery compaction.
+	// rebuild, checkpoint loads, lease-table scan.
 	dir2, err := os.MkdirTemp("", "bench-wal-recover-*")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir2)
-	w2, err := store.Open(dir2, store.Options{NoSync: true})
+	w2, err := store.OpenShared(dir2, "local", store.SharedOptions{NoSync: true})
 	if err != nil {
 		return err
 	}
@@ -73,7 +73,7 @@ func storeMetrics(log func(Entry)) error {
 	cp.SetInt("dispatch_seq", 7)
 	const jobsN = 200
 	for i := 1; i <= jobsN; i++ {
-		id := fmt.Sprintf("job-%06d", i)
+		id := fmt.Sprintf("job-local-%06d", i)
 		if err := w2.Append(&store.Record{Type: store.TypeSubmitted, Job: id, JobSeq: int64(i), Spec: specJSON}); err != nil {
 			return err
 		}
@@ -103,7 +103,7 @@ func storeMetrics(log func(Entry)) error {
 	if err := w2.Close(); err != nil {
 		return err
 	}
-	w3, err := store.Open(dir2, store.Options{NoSync: true})
+	w3, err := store.OpenShared(dir2, "local", store.SharedOptions{NoSync: true})
 	if err != nil {
 		return err
 	}
@@ -126,7 +126,7 @@ func storeMetrics(log func(Entry)) error {
 		return fmt.Errorf("bench: recovered %d jobs, want %d", st.RecoveredJobs, jobsN)
 	}
 	log(Entry{Name: "store.recovery_ms", Value: st.RecoveryMS, Unit: "ms", Better: LowerIsBetter,
-		Note: fmt.Sprintf("cold boot over a %d-job log (queued/preempted/done mix, checkpoint loads, compaction)", jobsN)})
+		Note: fmt.Sprintf("cold boot of one store.Shared replica over a %d-job log (queued/preempted/done mix, checkpoint loads, lease scan)", jobsN)})
 	return nil
 }
 
@@ -139,7 +139,7 @@ func durableSchedulerMetrics(log func(Entry)) error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	w, err := store.Open(dir, store.Options{})
+	w, err := store.OpenShared(dir, "local", store.SharedOptions{})
 	if err != nil {
 		return err
 	}
@@ -192,7 +192,7 @@ func durableSchedulerMetrics(log func(Entry)) error {
 	if err := w.Close(); err != nil {
 		return err
 	}
-	w2, err := store.Open(dir, store.Options{})
+	w2, err := store.OpenShared(dir, "local", store.SharedOptions{})
 	if err != nil {
 		return err
 	}
@@ -214,14 +214,14 @@ func durableSchedulerMetrics(log func(Entry)) error {
 	}
 	elapsed := time.Since(start)
 	log(Entry{Name: "scheduler.sustained_jobs_per_sec", Value: float64(n) / elapsed.Seconds(), Unit: "jobs/sec", Better: HigherIsBetter,
-		Note: fmt.Sprintf("%d ASGD jobs through a WAL-backed 2-engine pool with a mid-batch drain/restart", n)})
+		Note: fmt.Sprintf("%d ASGD jobs through a 2-engine pool on one fsynced store.Shared replica (lease claim per dispatch) with a mid-batch drain/restart", n)})
 	return nil
 }
 
 // replicaCfg builds one replica's scheduler config over a shared store with
 // bench-grade lease timing (tight scans so failover and cross-replica
 // mirroring, not ticker cadence, dominate the numbers).
-func replicaCfg(st store.Store, replica string, depth int) jobs.Config {
+func replicaCfg(st store.LeaseStore, replica string, depth int) jobs.Config {
 	return jobs.Config{
 		Engines:        1,
 		QueueDepth:     depth,
